@@ -5,7 +5,8 @@ graph, compile, eliminate-la.  Machine files use the `kind:`-headed text
 format from formats.py; words are written as PREFIX(PERIOD)^w.
 
 Exit codes: 0 success (or all-equal for compare), 1 a property failed, a
-word was rejected, or a mismatch was found, 2 usage or parse errors.
+word was rejected, or a mismatch was found, 2 usage or parse errors, 3 a
+monoid grew past its --cap.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from .formats import (
     print_machine,
 )
 from .fot import Fot
-from .muller import Dma, dma_monoid, is_aperiodic
+from .muller import CapExceeded, Dma, dma_monoid, is_aperiodic
 from .outputgraph import build_output_graph
 from .sst import NotInDomain, Sst, is_1_bounded, is_aperiodic_sst, sst_monoid
 from .twowst import TwoWst, anchored_behavior, is_aperiodic_2wst, twowst_monoid
@@ -295,6 +296,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except CapExceeded as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 3
     except FormatError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

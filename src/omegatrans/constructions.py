@@ -842,16 +842,22 @@ def pipeline_output(result, source, word, k, max_steps=200000):
 
 
 def run_model(m, word, k):
-    """Dispatch to the matching runner for any of the machine models."""
-    if isinstance(m, Sst):
-        return run_output(m, word, k)
-    if isinstance(m, TwoWst):
-        return run_2wst(m, word, k)
-    if isinstance(m, SstSf):
-        return run_output_sst_sf(m, word, k)
-    if isinstance(m, Fot):
-        return run_fot(m, word, k)
-    raise TypeError("no runner for %s" % (type(m).__name__,))
+    """Dispatch to the matching runner for any of the machine models.
+
+    A word with a letter outside the machine's alphabet is not in its domain.
+    """
+    for kind, runner in ((Sst, run_output), (TwoWst, run_2wst),
+                         (SstSf, run_output_sst_sf), (Fot, run_fot)):
+        if isinstance(m, kind):
+            break
+    else:
+        raise TypeError("no runner for %s" % (type(m).__name__,))
+    foreign = set(word.prefix + word.period) - set(m.alphabet)
+    if foreign:
+        raise NotInDomain(
+            frozenset(), "rejected: letter %r is outside the alphabet" % min(foreign)
+        )
+    return runner(m, word, k)
 
 
 def compare_outputs(m1, m2, corpus, k=40):

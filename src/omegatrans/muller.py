@@ -1,28 +1,41 @@
-"""Deterministic Muller automata and their transition-matrix monoid.
+"""Deterministic Muller automata and the run-summary algebra of their monoids.
 
 A Muller automaton accepts an infinite word when the set of states visited
-infinitely often belongs to its family of accepting sets.  The matrix of a
-finite factor w records, per state pair (p, q) with a run p ->w q, one
-coordinate for each accepting set F_i describing how the run sits inside F_i:
+infinitely often belongs to its family of accepting sets.  The monoid
+element of a finite factor w keeps, per source state p, a summary of the run
+of w from p: its destination q and the set V of states it visits (endpoints
+included) in canonical form, which is V when V lies inside some accepting
+set, one value TOP otherwise, and the empty set for the empty factor.
+Composition follows the destination and canonicalizes the union of the two
+sets; a set outside every accepting set stays outside as it grows.
 
-    0        some state of the run (endpoints included) lies outside F_i
+The classical matrix view has, per state pair (p, q) with a run p ->w q, one
+coordinate per accepting set F_i:
+
+    0        some state of the run lies outside F_i
     1        the run's states cover F_i exactly
     P        the run stays inside F_i but covers only P, a proper subset
     neutral  identity coordinate (empty factor only)
 
-Matrix product composes runs coordinate-wise; the monoid generated by the
-letter matrices is finite, and the automaton is counter-free exactly when
-every element M satisfies M^n = M^(n+1) for some n.
+The machines are deterministic, so every row has at most one entry, and its
+coordinate tuple is a bijective function of the canonical V: a V inside F_i
+reads back from coordinate i, TOP is the all-zero tuple and the empty set
+the neutral one.  Run summaries thus generate the same monoid as the
+matrices, whose view `rows`, `entry` and `repr` derive.  The flow monoid of
+module sst adds a count block to each summary; the crossing quadrants of
+module twowst use the destination None where no run leaves.  The automaton
+is counter-free exactly when every element M of the (finite) monoid
+satisfies M^n = M^(n+1) for some n.
 """
-
-import itertools
 
 
 BOT = None  # matrix entry for "no run"
+TOP = -1  # canonical visited set of a run that leaves every accepting set
+NO_RUN = (None, 0, ())
 
 
 class _Neutral:
-    """Identity coordinate; only the empty factor's matrix carries it."""
+    """Identity coordinate; only the empty factor's matrix view shows it."""
 
     _instance = None
 
@@ -38,50 +51,6 @@ class _Neutral:
 NEUTRAL = _Neutral()
 
 
-class EntryAlgebraError(Exception):
-    """A sum or product fell outside the entry algebra.
-
-    With deterministic automata every row holds at most one non-bot entry per
-    reachable target, so sums only ever merge bot with a value or a value with
-    itself; this error firing means a machine invariant was broken upstream.
-    """
-
-
-def compose_coordinate(x, y, muller_set):
-    """Compose two per-set coordinates of consecutive runs."""
-    if x is NEUTRAL:
-        return y
-    if y is NEUTRAL:
-        return x
-    if x == 0 or y == 0:
-        return 0
-    if x == 1 and y == 1:
-        return 1
-    if x == 1 or y == 1:
-        # a full cover concatenated with an inside part still covers
-        return 1
-    union = x | y
-    return 1 if union == muller_set else union
-
-
-def compose_entries(e1, e2, muller_sets):
-    if e1 is BOT or e2 is BOT:
-        return BOT
-    return tuple(
-        compose_coordinate(x, y, fi) for x, y, fi in zip(e1, e2, muller_sets)
-    )
-
-
-def add_entries(e1, e2):
-    if e1 is BOT:
-        return e2
-    if e2 is BOT:
-        return e1
-    if e1 == e2:
-        return e1
-    raise EntryAlgebraError("incompatible entries %r and %r" % (e1, e2))
-
-
 def run_coordinate(states_of_run, muller_set):
     """Coordinate for a concrete non-empty run (endpoints included)."""
     if not states_of_run <= muller_set:
@@ -91,59 +60,181 @@ def run_coordinate(states_of_run, muller_set):
     return frozenset(states_of_run)
 
 
-class TransitionMatrix:
-    """Square matrix over state pairs, entries bot or coordinate tuples.
+class _Memo(dict):
+    """Dictionary that fills a missing key with fn(key)."""
 
-    Stored sparsely as rows: {p: {q: entry}}, with bot entries omitted.
-    Instances are compared and hashed by value.
+    def __init__(self, fn, seed):
+        super().__init__(seed)
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class SummarySpace:
+    """What the elements of one monoid share.
+
+    The state order (a summary names states by index and visited sets by
+    bitmask), the accepting sets, and in a flow monoid the variable order and
+    whether counts saturate at 2.  canon maps a visited bitmask to its
+    canonical form and times a pair of count blocks to their product; both
+    are memo tables.
     """
 
-    __slots__ = ("states", "muller_sets", "rows", "_key")
-
-    def __init__(self, states, muller_sets, rows):
+    def __init__(self, states, muller_sets, variables=None, saturate=True):
         self.states = tuple(states)
+        self.index = {q: i for i, q in enumerate(self.states)}
         self.muller_sets = tuple(muller_sets)
-        self.rows = rows
-        self._key = None
+        self.variables = None if variables is None else tuple(variables)
+        self.var_index = {x: i for i, x in enumerate(self.variables or ())}
+        self.nx = len(self.var_index)
+        self.saturate = saturate
+        self.signature = (self.states, self.muller_sets, self.variables)
+        self._set_masks = [self._mask(m) for m in self.muller_sets]
+        self._coordinates = {}
+        self.canon = _Memo(self._canonical, {TOP: TOP})
+        self.times = _Memo(self._times, {((), ()): ()})
 
-    def entry(self, p, q):
-        return self.rows.get(p, {}).get(q, BOT)
+    def _mask(self, states):
+        return sum(1 << self.index[q] for q in set(states))
 
-    def key(self):
-        if self._key is None:
-            self._key = frozenset(
-                (p, q, e) for p, row in self.rows.items() for q, e in row.items()
-            )
-        return self._key
+    def _canonical(self, v):
+        if any(v & ~f == 0 for f in self._set_masks):
+            return v
+        return TOP if self._set_masks else 0
+
+    def _times(self, pair):
+        c1, c2 = pair
+        nx = self.nx
+        out = []
+        for base in range(0, nx * nx, nx):
+            acc = [0] * nx
+            for z in range(nx):
+                k = c1[base + z]
+                if k:
+                    for y in range(nx):
+                        acc[y] += k * c2[z * nx + y]
+            out.extend(acc)
+        return tuple(min(c, 2) for c in out) if self.saturate else tuple(out)
+
+    def coordinates(self, v):
+        """Coordinate tuple of a canonical visited set, one per accepting set."""
+        c = self._coordinates.get(v)
+        if c is None:
+            k = len(self.muller_sets)
+            if v == 0:
+                c = (NEUTRAL,) * k
+            elif v == TOP:
+                c = (0,) * k
+            else:
+                seen = {q for q, i in self.index.items() if v >> i & 1}
+                c = tuple(run_coordinate(seen, m) for m in self.muller_sets)
+            self._coordinates[v] = c
+        return c
+
+    def element(self, runs):
+        """Element from one (destination, visited states, count block) per
+        source state in state order, or None for no run.  The empty factor
+        visits no state."""
+        return TransitionMatrix(self, tuple(
+            NO_RUN if r is None else (self.index[r[0]], self.canon[self._mask(r[1])], r[2])
+            for r in runs))
+
+    def identity(self):
+        eye = tuple(int(x == y) for x in range(self.nx) for y in range(self.nx))
+        return self.element((q, (), eye) for q in self.states)
+
+    def empty(self):
+        return self.element(None for _ in self.states)
+
+
+class TransitionMatrix:
+    """Element of a Muller, flow or crossing monoid.
+
+    runs holds one summary per source state, in the space's state order:
+    (destination index or None, canonical visited bitmask, count block).
+    The count block is () outside flow monoids; in a flow monoid its entry
+    x * |X| + y counts the copies of x's content before the factor inside
+    y's content after it.  Instances are compared and hashed by value.
+    """
+
+    __slots__ = ("space", "runs", "_hash")
+
+    def __init__(self, space, runs):
+        self.space = space
+        self.runs = runs
+        self._hash = None
 
     def __eq__(self, other):
         if not isinstance(other, TransitionMatrix):
             return NotImplemented
-        return self.key() == other.key()
+        return self.runs == other.runs and (
+            self.space is other.space or self.space.signature == other.space.signature
+        )
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.runs)
+        return self._hash
 
     def __mul__(self, other):
+        canon = self.space.canon
+        times = self.space.times
+        theirs = other.runs
+        runs = []
+        for d, v, c in self.runs:
+            if d is not None:
+                d, v2, c2 = theirs[d]
+            runs.append(NO_RUN if d is None else (d, canon[v | v2], times[c, c2]))
+        return TransitionMatrix(self.space, tuple(runs))
+
+    @property
+    def rows(self):
+        """Matrix view: {p: {q: coordinate tuple}}, or in a flow monoid
+        {(p, x): {(q, y): (count, coordinate tuple)}}, bot entries omitted."""
+        space = self.space
+        xs = space.variables
         rows = {}
-        for p, row in self.rows.items():
-            acc = {}
-            for r, e1 in row.items():
-                for q, e2 in other.rows.get(r, {}).items():
-                    e = compose_entries(e1, e2, self.muller_sets)
-                    acc[q] = add_entries(acc.get(q, BOT), e)
-            if acc:
-                rows[p] = acc
-        return TransitionMatrix(self.states, self.muller_sets, rows)
+        for p, (d, v, c) in zip(space.states, self.runs):
+            if d is None:
+                continue
+            q = space.states[d]
+            mt = space.coordinates(v)
+            if xs is None:
+                rows[p] = {q: mt}
+            for i, x in enumerate(xs or ()):
+                rows[(p, x)] = {(q, y): (c[i * space.nx + j], mt) for j, y in enumerate(xs)}
+        return rows
+
+    def entry(self, p, q):
+        """One entry of the matrix view; p and q are (state, variable)
+        pairs in a flow monoid."""
+        space = self.space
+        flow = space.variables is not None
+        if flow:
+            (p, x), (q, y) = p, q
+        i = space.index.get(p)
+        if i is None:
+            return BOT
+        d, v, c = self.runs[i]
+        if d is None or space.states[d] != q:
+            return BOT
+        if not flow:
+            return space.coordinates(v)
+        return (c[space.var_index[x] * space.nx + space.var_index[y]], space.coordinates(v))
+
+    def max_count(self):
+        return max((max(c, default=0) for d, _, c in self.runs if d is not None), default=0)
 
     def __repr__(self):
-        parts = []
-        for p in self.states:
-            for q in self.states:
-                e = self.entry(p, q)
-                if e is not BOT:
-                    parts.append("%s->%s:%s" % (p, q, _fmt_entry(e)))
-        return "TransitionMatrix(%s)" % ", ".join(parts)
+        if self.space.variables is None:
+            return "TransitionMatrix(%s)" % ", ".join(
+                "%s->%s:%s" % (p, q, _fmt_entry(e))
+                for p, row in self.rows.items() for q, e in row.items())
+        return "FlowMatrix(%s)" % ", ".join(
+            "%r->%r:%r" % (pp, qq, e)
+            for pp, row in self.rows.items() for qq, e in row.items() if e[0] > 0)
 
 
 def _fmt_entry(e):
@@ -158,8 +249,7 @@ def _fmt_entry(e):
 
 
 def identity_matrix(states, muller_sets):
-    diag = tuple(NEUTRAL for _ in muller_sets)
-    return TransitionMatrix(states, muller_sets, {q: {q: diag} for q in states})
+    return SummarySpace(states, muller_sets).identity()
 
 
 class Dma:
@@ -220,34 +310,21 @@ class Dma:
         return frozenset(infinitely_often) in set(self.muller_sets)
 
 
-def letter_matrix(dma, a):
-    rows = {}
-    for p in dma.states:
-        q = dma.delta[(p, a)]
-        entry = tuple(run_coordinate({p, q}, fi) for fi in dma.muller_sets)
-        rows[p] = {q: entry}
-    return TransitionMatrix(dma.states, dma.muller_sets, rows)
-
-
 def matrix_of_word(dma, factor):
     """Transition matrix of a finite factor (product of letter matrices)."""
     m = identity_matrix(dma.states, dma.muller_sets)
     for a in factor:
-        m = m * letter_matrix(dma, a)
+        m = m * matrix_of_word_direct(dma, a)
     return m
 
 
 def matrix_of_word_direct(dma, factor):
     """Same matrix computed from concrete runs; oracle for the product."""
-    rows = {}
+    runs = []
     for p in dma.states:
         q, seen = dma.run_factor(p, factor)
-        if factor:
-            entry = tuple(run_coordinate(seen, fi) for fi in dma.muller_sets)
-        else:
-            entry = tuple(NEUTRAL for _ in dma.muller_sets)
-        rows[p] = {q: entry}
-    return TransitionMatrix(dma.states, dma.muller_sets, rows)
+        runs.append((q, seen if factor else (), ()))
+    return SummarySpace(dma.states, dma.muller_sets).element(runs)
 
 
 class CapExceeded(Exception):
@@ -295,7 +372,7 @@ def generate_monoid(generators, identity, cap=10 ** 6):
 
 
 def dma_monoid(dma, cap=10 ** 6):
-    gens = {a: letter_matrix(dma, a) for a in dma.alphabet}
+    gens = {a: matrix_of_word_direct(dma, a) for a in dma.alphabet}
     return generate_monoid(gens, identity_matrix(dma.states, dma.muller_sets), cap)
 
 

@@ -9,25 +9,24 @@ settles into P, the rules guarantee that x_1 .. x_{n-1} keep their values and
 x_n only ever grows at the right end, so the word x_1 ... x_n has a limit;
 when that limit is finite the output is padded with ⊥.
 
-The transition monoid refines the Muller matrix algebra of module muller with
-copy counts: the entry of M_w at ((p, X), (q, Y)) records how many copies of
-X's content before w end up inside Y's content after w, next to the per-set
-coordinate tuple of the state run p -> q.  Counts saturate at 2 ("two means
-at least two"), which keeps the monoid finite while still deciding whether
-the machine is 1-bounded (no entry ever reaches 2) and aperiodic.  `flows`
-and FlowCache recompute counts exactly, without saturation, for the output
-structure queries in module outputgraph.
+The transition monoid refines the run summaries of module muller with copy
+counts.  The element of a factor w keeps, per source state p, the
+destination q of the run, its canonical visited set, and a row-major
+|X| x |X| block whose entry (x, y) counts the copies of x's content before
+w that end up inside y's content after w.  Composition follows the
+destination, unions the visited sets and multiplies the blocks; the
+machines are deterministic, so a row of the classical flow matrix over
+(state, variable) pairs has one target state, and the block is that row
+grid.  Counts saturate at 2 ("two means at least two"), which keeps the
+monoid finite while still deciding whether the machine is 1-bounded (no
+count ever reaches 2) and aperiodic.  `flows` and FlowCache keep counts
+exact, without saturation, for the output structure queries in module
+outputgraph.  The matrix view (`rows`, `entry`) pairs each count with the
+coordinate tuple of the state run, as the entry algebra of module muller
+describes it.
 """
 
-from .muller import (
-    BOT,
-    NEUTRAL,
-    EntryAlgebraError,
-    aperiodicity_witness,
-    compose_entries,
-    generate_monoid,
-    run_coordinate,
-)
+from .muller import BOT, SummarySpace, aperiodicity_witness, generate_monoid
 
 
 PAD = "⊥"
@@ -327,143 +326,46 @@ def values_after(t, word, i):
     return vals
 
 
-class FlowMatrix:
-    """Matrix over (state, variable) pairs with (count, coordinate-tuple) entries.
-
-    Rows are sparse: a missing entry means no state run.  Wherever the state
-    run exists the full variable grid is present, including count-0 entries.
-    saturate=True caps counts at 2 during products.
-    """
-
-    __slots__ = ("pairs", "muller_sets", "rows", "saturate", "_key")
-
-    def __init__(self, pairs, muller_sets, rows, saturate):
-        self.pairs = tuple(pairs)
-        self.muller_sets = tuple(muller_sets)
-        self.rows = rows
-        self.saturate = saturate
-        self._key = None
-
-    def entry(self, pp, qq):
-        return self.rows.get(pp, {}).get(qq, BOT)
-
-    def key(self):
-        if self._key is None:
-            self._key = frozenset(
-                (pp, qq, e) for pp, row in self.rows.items() for qq, e in row.items()
-            )
-        return self._key
-
-    def __eq__(self, other):
-        if not isinstance(other, FlowMatrix):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __mul__(self, other):
-        rows = {}
-        for pp, row in self.rows.items():
-            acc = {}
-            for mid, (c1, t1) in row.items():
-                for qq, (c2, t2) in other.rows.get(mid, {}).items():
-                    t = compose_entries(t1, t2, self.muller_sets)
-                    if qq in acc:
-                        c0, t0 = acc[qq]
-                        if t0 != t:
-                            raise EntryAlgebraError(
-                                "coordinate tuples disagree across middles at %r" % (qq,)
-                            )
-                        acc[qq] = (c0 + c1 * c2, t0)
-                    else:
-                        acc[qq] = (c1 * c2, t)
-            if self.saturate:
-                acc = {qq: (min(c, 2), t) for qq, (c, t) in acc.items()}
-            if acc:
-                rows[pp] = acc
-        return FlowMatrix(self.pairs, self.muller_sets, rows, self.saturate)
-
-    def max_count(self):
-        return max(
-            (c for row in self.rows.values() for c, _ in row.values()), default=0
-        )
-
-    def __repr__(self):
-        parts = []
-        for pp in self.pairs:
-            for qq in self.pairs:
-                e = self.entry(pp, qq)
-                if e is not BOT and e[0] > 0:
-                    parts.append("%r->%r:%r" % (pp, qq, e))
-        return "FlowMatrix(%s)" % ", ".join(parts)
+def _flow_space(t, saturate):
+    return SummarySpace(t.states, t.muller_sets, t.variables, saturate)
 
 
-def variable_pairs(t):
-    return tuple((q, x) for q in t.states for x in t.variables)
-
-
-def flow_identity(t, saturate=True):
-    # the empty run exists at every state, so the whole variable grid is
-    # present there, zero except on the diagonal
-    diag = tuple(NEUTRAL for _ in t.muller_sets)
-    rows = {
-        (q, x): {(q, y): (1 if x == y else 0, diag) for y in t.variables}
-        for q in t.states
-        for x in t.variables
-    }
-    return FlowMatrix(variable_pairs(t), t.muller_sets, rows, saturate)
-
-
-def letter_flow_matrix(t, a, saturate=True):
-    rows = {}
-    for p in t.states:
-        q = t.delta[(p, a)]
-        mt = tuple(run_coordinate({p, q}, fi) for fi in t.muller_sets)
-        subst = t.update[(p, a)]
-        for x in t.variables:
-            row = {}
-            for y in t.variables:
-                c = sum(1 for item in subst[y] if item == ("var", x))
-                row[(q, y)] = (min(c, 2) if saturate else c, mt)
-            rows[(p, x)] = row
-    return FlowMatrix(variable_pairs(t), t.muller_sets, rows, saturate)
+def _count_block(t, subst, saturate):
+    """Row-major |X| x |X| block: occurrences of x in subst's rhs for y."""
+    block = []
+    for x in t.variables:
+        occurrence = ("var", x)
+        for y in t.variables:
+            c = subst[y].count(occurrence)
+            block.append(min(c, 2) if saturate else c)
+    return tuple(block)
 
 
 def flow_matrix(t, factor, saturate=True):
     """Flow matrix of a finite factor (product of letter matrices)."""
-    m = flow_identity(t, saturate)
+    m = _flow_space(t, saturate).identity()
     for a in factor:
-        m = m * letter_flow_matrix(t, a, saturate)
+        m = m * flow_matrix_direct(t, a, saturate)
     return m
 
 
 def flow_matrix_direct(t, factor, saturate=True):
     """Same matrix from composed substitutions and concrete runs; the oracle."""
-    rows = {}
+    runs = []
     for p in t.states:
         q, seen = t.run_factor(p, factor)
-        if factor:
-            mt = tuple(run_coordinate(seen, fi) for fi in t.muller_sets)
-        else:
-            mt = tuple(NEUTRAL for _ in t.muller_sets)
         comb = identity_subst(t.variables)
         state = p
         for a in factor:
             comb = compose_subst(comb, t.update[(state, a)])
             state = t.delta[(state, a)]
-        for x in t.variables:
-            row = {}
-            for y in t.variables:
-                c = sum(1 for item in comb[y] if item == ("var", x))
-                row[(q, y)] = (min(c, 2) if saturate else c, mt)
-            rows[(p, x)] = row
-    return FlowMatrix(variable_pairs(t), t.muller_sets, rows, saturate)
+        runs.append((q, seen if factor else (), _count_block(t, comb, saturate)))
+    return _flow_space(t, saturate).element(runs)
 
 
 def sst_monoid(t, cap=10 ** 6):
-    gens = {a: letter_flow_matrix(t, a) for a in t.alphabet}
-    return generate_monoid(gens, flow_identity(t), cap)
+    gens = {a: flow_matrix_direct(t, a) for a in t.alphabet}
+    return generate_monoid(gens, _flow_space(t, True).identity(), cap)
 
 
 def is_1_bounded(t, cap=10 ** 6):
@@ -495,14 +397,14 @@ class FlowCache:
         self.analysis = analyze_run(t, word)
         self._letters = {}
         self._products = {}
-        self._identity = flow_identity(t, saturate=False)
+        self._identity = _flow_space(t, False).identity()
         self._useful = {}
         self._reach = {}
         self._cat = {}
 
     def letter(self, a):
         if a not in self._letters:
-            self._letters[a] = letter_flow_matrix(self.t, a, saturate=False)
+            self._letters[a] = flow_matrix_direct(self.t, a, saturate=False)
         return self._letters[a]
 
     def product(self, i, j):

@@ -9,16 +9,18 @@ and by acceptance of the strict suffix from a chosen state of a lookahead
 Muller automaton.
 
 Factors of a word are summarized by crossing behaviors: for each of the
-four enter/exit side combinations, the deterministic partial map from entry
-state to exit state, together with the visited-state coordinate per
-accepting set.  Behaviors compose, which gives the transition monoid of the
-machine and its aperiodicity test.
+four enter/exit side combinations, the run summaries of module muller, that
+is the deterministic partial map from entry state to exit state (None where
+no run leaves on that side) together with the canonical visited-state set.
+Behaviors compose by following each run across the cut, which gives the
+transition monoid of the machine and its aperiodicity test.
 """
 
 from .muller import (
+    NO_RUN,
+    SummarySpace,
     TransitionMatrix,
     aperiodicity_witness,
-    compose_entries,
     dma_monoid,
     generate_monoid,
     identity_matrix,
@@ -376,12 +378,15 @@ def _behind_domain(t):
     return tuple(sorted(t.lookbehind.states, key=str))
 
 
+SIDES = ("ll", "lr", "rl", "rr")
+
+
 class TwowstElement:
     """Monoid element of a two-way machine on some factor.
 
     Carries the lookbehind state map, the lookahead state map and letter
     matrix, and for every (lookbehind entry state, right context) pair the
-    four crossing quadrants as coordinate matrices.
+    four crossing quadrants as run summaries.
     """
 
     __slots__ = ("t", "eta_b", "eta_a", "m_a", "tables", "_key")
@@ -399,11 +404,11 @@ class TwowstElement:
             self._key = (
                 frozenset(self.eta_b.items()) if self.eta_b else None,
                 frozenset(self.eta_a.items()) if self.eta_a else None,
-                self.m_a.key() if self.m_a is not None else None,
+                self.m_a,
                 frozenset(
-                    (e, c, side, quads[side].key())
+                    (e, c, side, quads[side])
                     for (e, c), quads in self.tables.items()
-                    for side in ("ll", "lr", "rl", "rr")
+                    for side in SIDES
                 ),
             )
         return self._key
@@ -418,9 +423,14 @@ class TwowstElement:
         return compose_behaviors(self, other)
 
 
+def _space(t):
+    return SummarySpace(t.states, t.muller_sets)
+
+
 def identity_element(t):
-    ident = identity_matrix(t.states, t.muller_sets)
-    empty = TransitionMatrix(t.states, t.muller_sets, {})
+    space = _space(t)
+    ident = space.identity()
+    empty = space.empty()
     tables = {
         (e, c): {"ll": empty, "lr": ident, "rl": ident, "rr": empty}
         for e in _behind_domain(t)
@@ -452,26 +462,21 @@ def element_of_word(t, factor):
     eta_b = {s: b.run(factor, s) for s in b.states} if b else {}
     eta_a = {s: a.run_factor(s, factor)[0] for s in a.states} if a else {}
     m_a = matrix_of_word(a, factor) if a else None
+    space = _space(t)
     tables = {}
     for e in _behind_domain(t):
         bs = {1: e}
         for pos in range(2, m + 1):
             bs[pos] = b.step(bs[pos - 1], factor[pos - 2]) if b else None
         for c in _machine_contexts(t):
-            rows = {"ll": {}, "lr": {}, "rl": {}, "rr": {}}
+            runs = {side: [None] * len(t.states) for side in SIDES}
             for enter, start in (("l", 1), ("r", m)):
-                for q in t.states:
+                for i, q in enumerate(t.states):
                     res = _cross_pure(t, factor, bs, c, q, start)
-                    if res is None:
-                        continue
-                    exit_side, q2, states = res
-                    rows[enter + exit_side].setdefault(q, {})[q2] = _entry_tuple(
-                        t, states
-                    )
-            tables[(e, c)] = {
-                side: TransitionMatrix(t.states, t.muller_sets, rows[side])
-                for side in rows
-            }
+                    if res is not None:
+                        exit_side, q2, states = res
+                        runs[enter + exit_side][i] = (q2, states, ())
+            tables[(e, c)] = {side: space.element(runs[side]) for side in SIDES}
     return TwowstElement(t, eta_b, eta_a, m_a, tables)
 
 
@@ -499,56 +504,52 @@ def _cross_pure(t, factor, bs, c, q, pos):
         states.add(q)
 
 
-def _oplus(a, b):
-    """Entry-wise union keeping a's entry on collisions."""
-    rows = {p: dict(row) for p, row in a.rows.items()}
-    for p, row in b.rows.items():
-        tgt = rows.setdefault(p, {})
-        for q, e in row.items():
-            if q not in tgt:
-                tgt[q] = e
-    return TransitionMatrix(a.states, a.muller_sets, rows)
-
-
-def _keep_first_product(a, b):
-    rows = {}
-    for p, row in a.rows.items():
-        out = {}
-        for q, e1 in row.items():
-            for r, e2 in b.rows.get(q, {}).items():
-                if r not in out:
-                    out[r] = compose_entries(e1, e2, a.muller_sets)
-        if out:
-            rows[p] = out
-    return TransitionMatrix(a.states, a.muller_sets, rows)
-
-
-def _star(t, m):
-    """Keep-first closure of bounce iterations; stabilizes within |Q|+2 rounds."""
-    acc = identity_matrix(t.states, t.muller_sets)
-    for _ in range(len(t.states) + 2):
-        nxt = _oplus(acc, _keep_first_product(acc, m))
-        if nxt.key() == acc.key():
-            return acc
-        acc = nxt
-    raise ValueError("crossing closure did not stabilize")
-
-
-def _combine_quadrants(t, a, b):
+def _combine_quadrants(a, b):
     """Quadrants of a factor split into a then b.
 
-    Products are grouped so that the exit matrix is applied right after the
-    bounce closure: the closure rows list one state per bounce count, and
-    only the bounce at which the run truly exits contributes.
+    Every run that crosses the cut is followed from half to half until it
+    leaves the factor.  A run that jams inside a half, or crosses the cut
+    again in a state and direction it crossed before (so it loops forever),
+    has no image.
     """
-    star_r = _star(t, b["ll"] * a["rr"])
-    star_l = _star(t, a["rr"] * b["ll"])
-    return {
-        "ll": _oplus(a["ll"], a["lr"] * (star_r * (b["ll"] * a["rl"]))),
-        "lr": a["lr"] * (star_r * b["lr"]),
-        "rl": b["rl"] * (star_l * a["rl"]),
-        "rr": _oplus(b["rr"], b["rl"] * (star_l * (a["rr"] * b["lr"]))),
-    }
+    space = a["lr"].space
+    canon = space.canon
+    n = len(space.states)
+    ll, lr = list(a["ll"].runs), [NO_RUN] * n
+    rl, rr = [NO_RUN] * n, list(b["rr"].runs)
+    # (exit, back) runs of a half entered at the cut
+    in_b = (b["lr"].runs, b["ll"].runs)
+    in_a = (a["rl"].runs, a["rr"].runs)
+    for i, (s, v, _) in enumerate(a["lr"].runs):
+        if s is not None:
+            _bounce(s, v, (in_b, in_a), (lr, ll), i, canon)
+    for i, (s, v, _) in enumerate(b["rl"].runs):
+        if s is not None:
+            _bounce(s, v, (in_a, in_b), (rl, rr), i, canon)
+    return {side: TransitionMatrix(space, tuple(runs))
+            for side, runs in zip(SIDES, (ll, lr, rl, rr))}
+
+
+def _bounce(s, v, halves, results, i, canon):
+    """Follow the run from source i that just crossed the cut into
+    halves[0] in state s, having visited v; it leaves the factor through
+    the exit side of the half it is in, and its summary goes to the
+    matching results table."""
+    side = 0
+    seen = set()
+    while (side, s) not in seen:
+        seen.add((side, s))
+        exit_runs, back_runs = halves[side]
+        d, w, _ = exit_runs[s]
+        if d is not None:
+            results[side][i] = (d, canon[v | w], ())
+            return
+        d, w, _ = back_runs[s]
+        if d is None:
+            return
+        v |= w
+        s = d
+        side ^= 1
 
 
 def compose_behaviors(x1, x2):
@@ -564,7 +565,7 @@ def compose_behaviors(x1, x2):
         else:
             c1 = frozenset(p for p in a.states if x2.eta_a[p] in c)
         e2 = e if e is None else x1.eta_b[e]
-        tables[(e, c)] = _combine_quadrants(t, x1.tables[(e, c1)], x2.tables[(e2, c)])
+        tables[(e, c)] = _combine_quadrants(x1.tables[(e, c1)], x2.tables[(e2, c)])
     return TwowstElement(t, eta_b, eta_a, m_a, tables)
 
 

@@ -1,6 +1,8 @@
 import pathlib
 
 from omegatrans.cli import main
+from omegatrans.fixtures import plain_copier_twowst
+from omegatrans.formats import print_machine
 
 MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
 F1_SST = str(MACHINES / "f1.sst")
@@ -49,6 +51,33 @@ def test_compare_samples_without_a_corpus(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 6
     assert all(line.endswith("\tequal\t-") for line in lines[1:])
+
+
+def test_compare_rejects_words_outside_the_alphabet(tmp_path, capsys):
+    source = tmp_path / "copier.2wst"
+    source.write_text(print_machine(plain_copier_twowst()))
+    guarded = tmp_path / "copier.sst-sf"
+    plain = tmp_path / "copier.sst"
+    assert main(["compile", "2wst-to-sst", str(source), "-o", str(guarded)]) == 0
+    assert main(["eliminate-la", str(guarded), "-o", str(plain)]) == 0
+    capsys.readouterr()
+    rc = main(["compare", str(plain), str(source), "--corpus", CORPUS, "-k", "20"])
+    assert rc == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 50
+    # the copier reads a and b only, so every word with a separator is
+    # outside both machines' domains
+    assert all(verdict == ("both-reject" if "#" in word else "equal")
+               for word, verdict, _ in rows)
+    assert {verdict for _, verdict, _ in rows} == {"equal", "both-reject"}
+
+
+def test_monoid_cap_exits_3(capsys):
+    assert main(["monoid", SETTLING_DMA, "--cap", "2"]) == 3
+    assert main(["check-aperiodic", SETTLING_DMA, "--cap", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: monoid exceeded 2 elements"] * 2
 
 
 def test_check_verbs_exit_by_verdict(capsys):

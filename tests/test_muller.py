@@ -91,23 +91,63 @@ def test_identity_is_neutral():
     assert mu.matrix_of_word(d, "") == one
 
 
-def test_entry_sums():
-    assert mu.add_entries(mu.BOT, (0, 1)) == (0, 1)
-    assert mu.add_entries((0, 1), mu.BOT) == (0, 1)
-    assert mu.add_entries((0, 1), (0, 1)) == (0, 1)
-    with pytest.raises(mu.EntryAlgebraError):
-        mu.add_entries((0, 1), (1, 1))
+def cover_dma():
+    """a walks the cycle q -> r -> s inside F = {q, r, s}; b leaves F for x."""
+    delta = {
+        ("q", "a"): "r", ("r", "a"): "s", ("s", "a"): "q", ("x", "a"): "x",
+        ("q", "b"): "x", ("r", "b"): "r", ("s", "b"): "s", ("x", "b"): "x",
+    }
+    return Dma(["q", "r", "s", "x"], "ab", "q", delta, [{"q", "r", "s"}])
 
 
-def test_coordinate_products():
-    fi = frozenset({"q", "r"})
-    part_q = frozenset({"q"})
-    part_r = frozenset({"r"})
-    assert mu.compose_coordinate(part_q, part_r, fi) == 1
-    assert mu.compose_coordinate(part_q, part_q, fi) == part_q
-    assert mu.compose_coordinate(1, part_q, fi) == 1
-    assert mu.compose_coordinate(0, 1, fi) == 0
-    assert mu.compose_coordinate(mu.NEUTRAL, 0, fi) == 0
+def test_composition_of_two_parts_covers_the_set():
+    d = cover_dma()
+    a = mu.matrix_of_word(d, "a")
+    assert a.entry("q", "r") == (frozenset({"q", "r"}),)
+    assert a.entry("r", "s") == (frozenset({"r", "s"}),)
+    # the parts {q, r} and {r, s} together cover F exactly
+    assert (a * a).entry("q", "s") == (1,)
+    # a cover followed by a part is still a cover
+    assert (a * a * a).entry("q", "q") == (1,)
+
+
+def test_composition_with_a_run_that_leaves_the_set_absorbs():
+    d = cover_dma()
+    a, b = mu.matrix_of_word(d, "a"), mu.matrix_of_word(d, "b")
+    assert b.entry("q", "x") == (0,)
+    assert (b * a).entry("q", "x") == (0,)
+    assert (a * b).entry("s", "x") == (0,)
+    # a full cover followed by a step outside is outside
+    assert (a * a * a * b).entry("q", "x") == (0,)
+    # once outside, nothing brings the run back inside
+    assert (b * a * a * a).entry("q", "x") == (0,)
+
+
+def test_empty_run_is_neutral_on_both_sides():
+    d = cover_dma()
+    one = mu.identity_matrix(d.states, d.muller_sets)
+    assert one.entry("q", "q") == (mu.NEUTRAL,)
+    for w in ("a", "b", "ab", "aab"):
+        m = mu.matrix_of_word(d, w)
+        assert one * m == m
+        assert m * one == m
+        assert entries_of(one * m) == entries_of(m)
+
+
+def test_each_row_has_one_target():
+    d = cover_dma()
+    for w in ("", "a", "b", "ab", "ba", "aab"):
+        rows = mu.matrix_of_word(d, w).rows
+        assert set(rows) == set(d.states)
+        assert all(len(row) == 1 for row in rows.values())
+    # a space's empty element has no run at all (the crossing quadrants of
+    # two-way machines use it), and it absorbs on both sides
+    none = mu.SummarySpace(d.states, d.muller_sets).empty()
+    assert none.rows == {}
+    assert none.entry("q", "q") is mu.BOT
+    m = mu.matrix_of_word(d, "ab")
+    assert (none * m).rows == {}
+    assert (m * none).rows == {}
 
 
 # --- monoid and aperiodicity ----------------------------------------------

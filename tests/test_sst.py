@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegatrans.muller import NEUTRAL, run_coordinate
 from omegatrans.fixtures import (
     domain_words,
     mirror_sst,
@@ -22,6 +24,7 @@ from omegatrans.sst import (
     flow_matrix_direct,
     flows,
     format_rhs,
+    sst_monoid,
     identity_subst,
     is_1_bounded,
     is_aperiodic_sst,
@@ -375,3 +378,120 @@ def test_run_output_prefix_stability_mirror(prefix, period, k):
     t = mirror_sst()
     w = UPWord(prefix, period)
     assert run_output(t, w, k + 1).startswith(run_output(t, w, k))
+
+
+# ---------------------------------------------------------------------------
+# the flow algebra with accepting sets and copyful updates
+#
+# ssts() above builds machines without output rules, so it never exercises
+# the visited-set part of the summaries.  These machines have one accepting
+# set each (random_copyless_sst) or two and copyful updates
+# (settling_loops_sst), and every word of length up to 4 is checked.
+
+MULLER_MACHINES = [random_copyless_sst(random.Random(seed)) for seed in range(20)]
+MULLER_MACHINES.append(settling_loops_sst())
+MULLER_IDS = ["random-%d" % seed for seed in range(20)] + ["settling-loops"]
+SHORT_WORDS = ["".join(w) for n in range(5) for w in itertools.product("ab", repeat=n)]
+
+
+def coordinate_view(t, factor):
+    """Destination and coordinate tuple of each state's concrete run."""
+    out = {}
+    for p in t.states:
+        q, seen = t.run_factor(p, factor)
+        if factor:
+            out[p] = (q, tuple(run_coordinate(seen, m) for m in t.muller_sets))
+        else:
+            out[p] = (q, tuple(NEUTRAL for _ in t.muller_sets))
+    return out
+
+
+@pytest.mark.parametrize("t", MULLER_MACHINES, ids=MULLER_IDS)
+def test_flow_matrix_matches_direct_computation_with_accepting_sets(t):
+    for w in SHORT_WORDS:
+        for saturate in (True, False):
+            m = flow_matrix(t, w, saturate=saturate)
+            assert m == flow_matrix_direct(t, w, saturate=saturate), (w, saturate)
+            rows = m.rows
+            for p, (q, coords) in coordinate_view(t, w).items():
+                for x in t.variables:
+                    assert set(rows[(p, x)]) == {(q, y) for y in t.variables}
+                    assert {e[1] for e in rows[(p, x)].values()} == {coords}, (w, p)
+
+
+@pytest.mark.parametrize("t", MULLER_MACHINES, ids=MULLER_IDS)
+def test_flow_matrix_is_a_morphism_with_accepting_sets(t):
+    for saturate in (True, False):
+        m = {w: flow_matrix(t, w, saturate=saturate) for w in SHORT_WORDS}
+        for w in SHORT_WORDS:
+            for i in range(len(w) + 1):
+                assert m[w[:i]] * m[w[i:]] == m[w], (w[:i], w[i:], saturate)
+
+
+def test_muller_machines_reach_every_kind_of_entry():
+    coordinates = set()
+    counts = set()
+    for t in MULLER_MACHINES:
+        for w in SHORT_WORDS:
+            for row in flow_matrix(t, w, saturate=False).rows.values():
+                for c, coords in row.values():
+                    counts.add(c)
+                    coordinates.update(
+                        "part" if isinstance(x, frozenset) else x for x in coords
+                    )
+    assert coordinates == {0, 1, "part", NEUTRAL}
+    assert max(counts) > 2
+
+
+# Frozen at the commit before run summaries replaced the entry algebra: the
+# flow-monoid sizes of the c08 sweep (random_copyless_sst at seed 12), and
+# the two verdicts of its first 20 machines.  A representation that merged
+# distinct elements would keep most verdicts but not these sizes.
+C08_MONOID_SIZES = [
+    44, 42, 23, 12, 71, 23, 3, 10, 7, 7,
+    4, 9, 7, 46, 14, 77, 52, 16, 44, 4,
+    28, 8, 287, 8, 7, 694, 6, 9, 4, 7,
+    64, 3, 4, 17, 13, 314, 18, 7, 6, 57,
+    23, 10, 5, 249, 10, 3, 3, 11, 67, 32,
+    22, 10, 7, 28, 8, 17, 1093, 1225, 30, 46,
+    3, 20, 18, 66, 10788, 13, 3, 3, 166, 6,
+    10, 27, 11, 6, 10, 47, 33, 13, 12, 64,
+    11, 16, 28, 20, 467, 4, 77, 31, 6, 23,
+    4, 16, 10, 22, 36, 14, 60, 33, 11, 4,
+]
+C08_VERDICTS = [
+    ((True, None), (False, "b")),
+    ((True, None), (False, "a")),
+    ((True, None), (False, "a")),
+    ((True, None), (False, "a")),
+    ((True, None), (False, "b")),
+    ((True, None), (False, "b")),
+    ((True, None), (True, None)),
+    ((True, None), (False, "b")),
+    ((True, None), (False, "b")),
+    ((True, None), (True, None)),
+    ((True, None), (False, "b")),
+    ((True, None), (True, None)),
+    ((True, None), (True, None)),
+    ((True, None), (False, "b")),
+    ((True, None), (True, None)),
+    ((True, None), (False, "a")),
+    ((True, None), (True, None)),
+    ((True, None), (False, "b")),
+    ((True, None), (False, "a")),
+    ((True, None), (True, None)),
+]
+
+
+def test_c08_sweep_monoid_sizes_are_pinned():
+    rng = random.Random(12)
+    sizes = []
+    verdicts = []
+    for n in range(100):
+        t = random_copyless_sst(rng)
+        sizes.append(len(sst_monoid(t)))
+        if n < 20:
+            verdicts.append((is_1_bounded(t), is_aperiodic_sst(t)))
+    assert sizes == C08_MONOID_SIZES
+    assert max(sizes) == 10788
+    assert verdicts == C08_VERDICTS
