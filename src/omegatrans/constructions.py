@@ -18,9 +18,10 @@ strict suffix after it.
 from collections import deque, namedtuple
 
 from .fot import Fot, run_fot
-from .sst import PAD, NotInDomain, Sst, apply_subst, is_copyless, run_output
+from .muller import CapExceeded
+from .sst import PAD, NotInDomain, Sst, is_copyless, run_output, stream_output
 from .twowst import LEFT, MARK, RIGHT, STAY, TwoWst, _WordContext, run_2wst
-from .words import UPWord, first_divergence
+from .words import UPWord, first_divergence, lasso
 
 
 class SstSf:
@@ -122,85 +123,61 @@ from every start state on the prefix so far, claims the set of lookahead
 states whose acceptance the run has promised and pushed forward."""
 
 
-def _steps(s, word, ctx):
-    """Endless iterator of (position, fired key, configuration after it)."""
+def _advance(s, cfg, key):
+    """The configuration after the row key fires in configuration cfg."""
+    _, _, a, p = key
     b = s.lookbehind
     a_aut = s.lookahead
-    behinds = tuple(b.states) if b else ()
-    claims = frozenset()
-    q = s.initial
-    pos = 1
-    while True:
-        letter = word.letter_at(pos)
-        key = s.applicable_key(
-            q, letter, ctx.b_state(pos), lambda p: ctx.ahead_ok(pos, p)
+    behind = tuple(b.step(x, a) for x in cfg.behind) if b else ()
+    claims = frozenset(a_aut.step(x, a) for x in cfg.claims) if a_aut else frozenset()
+    if p is not None:
+        claims = claims | {p}
+    return Configuration(s.delta[key], behind, claims)
+
+
+def _fire(s, ctx, q, col):
+    """Key of the row firing in state q on the letter after column col."""
+    pos = col + 1
+    key = s.applicable_key(
+        q, ctx.word.letter_at(pos), ctx.b_state(pos), lambda p: ctx.ahead_ok(pos, p)
+    )
+    if key is None:
+        raise NotInDomain(
+            frozenset(),
+            "stuck: no guarded transition fires in state %r at position %d" % (q, pos),
         )
-        if key is None:
-            raise NotInDomain(
-                frozenset(),
-                "stuck: no guarded transition fires in state %r at position %d"
-                % (q, pos),
-            )
-        p = key[3]
-        behinds = tuple(b.step(x, letter) for x in behinds) if b else ()
-        claims = (
-            frozenset(a_aut.step(x, letter) for x in claims) if a_aut else frozenset()
-        )
-        if p is not None:
-            claims = claims | {p}
-        q = s.delta[key]
-        yield pos, key, Configuration(q, behinds, claims)
-        pos += 1
+    return key
 
 
-def _settled_out_seq(s, word, ctx, max_steps):
-    """Output rule of the state set the run settles into; NotInDomain if the
-    run jams or settles into a set without a rule."""
-    trace = []
-    seen = {}
-    it = _steps(s, word, ctx)
-    for _ in range(max_steps):
-        pos, _key, cfg = next(it)
-        trace.append(cfg.state)
-        if pos >= ctx.entry_pos:
-            lk = (cfg.state, (pos - ctx.entry_pos) % ctx.cycle_len)
-            if lk in seen:
-                infinity = frozenset(trace[seen[lk]:])
-                if infinity not in s.output:
-                    raise NotInDomain(infinity)
-                return s.output[infinity]
-            seen[lk] = len(trace)
-    raise ValueError("no lasso within %d steps" % (max_steps,))
+def _output_rule(s, states):
+    """Output rule of the states a run visits forever; NotInDomain without one."""
+    infinity = frozenset(states)
+    if infinity not in s.output:
+        raise NotInDomain(infinity)
+    return s.output[infinity]
 
 
-def run_output_sst_sf(s, word, k, max_steps=200000):
+def run_output_sst_sf(s, word, k):
     """First k output letters of the guarded machine, ⊥-padded when the
     output stays finite.
 
-    Padding is detected when the run revisits a lasso position with every
-    variable length unchanged; a run that keeps growing dead variables
-    forever without producing output exhausts max_steps instead.
+    The guards fire periodically from the column where the word's guard
+    data turns periodic (_WordContext), so the state run's lasso keys on
+    (state, column class).  The output is streamed along it by
+    sst.stream_output, whose padding rule is exact: ⊥ once the set of
+    non-empty variables after a loop repeats with no output growth in
+    between.
     """
     ctx = _WordContext(s, word)
-    out_seq = _settled_out_seq(s, word, ctx, max_steps)
-    if k <= 0:
-        return ""
-    vals = s.initial_values()
-    seen = {}
-    it = _steps(s, word, ctx)
-    for _ in range(max_steps):
-        pos, key, cfg = next(it)
-        vals = apply_subst(s.update[key], vals)
-        current = "".join(vals[x] for x in out_seq)
-        if len(current) >= k:
-            return current[:k]
-        if pos >= ctx.entry_pos:
-            lk = (cfg.state, (pos - ctx.entry_pos) % ctx.cycle_len)
-            sizes = tuple(len(vals[x]) for x in s.variables)
-            if seen.get(lk) == sizes:
-                return (current + PAD * k)[:k]
-            seen[lk] = sizes
-    raise ValueError("no verdict within %d steps" % (max_steps,))
+    keys = []
+
+    def step(q, col):
+        keys.append(_fire(s, ctx, q, col))
+        return s.delta[keys[-1]]
+
+    states, entry, _ = lasso(s.initial, step, ctx.entry_pos - 1, ctx.cycle_len)
+    seq = _output_rule(s, states[entry:])
+    return stream_output(s.initial_values(), [s.update[key] for key in keys], entry, seq, k)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +353,7 @@ def twowst_to_sst_sf(t, cap=12):
             dest = (f_prime[q], freeze(f2))
             if dest not in index:
                 if len(states) >= cap:
-                    raise ValueError(
+                    raise CapExceeded(
                         "state blowup: more than %d states in the conversion" % (cap,)
                     )
                 index[dest] = len(states)
@@ -438,7 +415,6 @@ def _order_key(s):
 def _config_graph(s, cap):
     """Reachable configurations and their letter/row edges."""
     b = s.lookbehind
-    a_aut = s.lookahead
     start = Configuration(s.initial, tuple(b.states) if b else (), frozenset())
     b_index = b.states.index(b.initial) if b else None
     rows_by_state = {}
@@ -453,26 +429,18 @@ def _config_graph(s, cap):
     while queue:
         cfg = queue.popleft()
         for key in rows_by_state.get(cfg.state, ()):
-            _, r, a, p = key
+            r = key[1]
             if r is not None and r != cfg.behind[b_index]:
                 continue
-            behind2 = tuple(b.step(x, a) for x in cfg.behind) if b else ()
-            claims2 = (
-                frozenset(a_aut.step(x, a) for x in cfg.claims)
-                if a_aut
-                else frozenset()
-            )
-            if p is not None:
-                claims2 = claims2 | {p}
-            cfg2 = Configuration(s.delta[key], behind2, claims2)
+            cfg2 = _advance(s, cfg, key)
             if cfg2 not in adj:
                 if len(adj) >= cap:
-                    raise ValueError(
+                    raise CapExceeded(
                         "state blowup: more than %d reachable configurations" % (cap,)
                     )
                 adj[cfg2] = []
                 queue.append(cfg2)
-            adj[cfg].append((a, key, cfg2))
+            adj[cfg].append((key[2], key, cfg2))
     return start, adj
 
 
@@ -563,24 +531,6 @@ def _covering_walk(comp_sorted, succ):
     return walk
 
 
-def _thread_settles(a_aut, p0, letters):
-    """Follow one claim around the walk until its lap behaviour repeats; the
-    states it then visits forever must form an accepting set."""
-    accepting = {frozenset(m) for m in a_aut.muller_sets}
-    laps = []
-    starts = {}
-    x = p0
-    while x not in starts:
-        starts[x] = len(laps)
-        visited = set()
-        for a in letters:
-            x = a_aut.step(x, a)
-            visited.add(x)
-        laps.append(frozenset(visited))
-    infinity = frozenset().union(*laps[starts[x]:])
-    return infinity in accepting
-
-
 def _accepting_parts(s, adj, order_key):
     """Configuration components a run can settle into: the states visited
     must match an output set, and every pending claim must keep tracing an
@@ -614,11 +564,9 @@ def _accepting_parts(s, adj, order_key):
                         yield (a, c2)
 
             walk = _covering_walk(comp_sorted, succ_walk)
-            letters = [a for a, _node in walk]
-            anchor = comp_sorted[0]
+            laps = UPWord("", "".join(a for a, _node in walk))
             if s.lookahead is not None and not all(
-                _thread_settles(s.lookahead, p, letters)
-                for p in sorted(anchor.claims, key=str)
+                s.lookahead.accepts(laps, start=p) for p in comp_sorted[0].claims
             ):
                 continue
             parts.append((comp_sorted, walk, P))
@@ -731,7 +679,7 @@ def eliminate_lookaround(s, cap=4096):
                     )
             if S2 not in sindex:
                 if len(states) >= cap:
-                    raise ValueError(
+                    raise CapExceeded(
                         "state blowup: more than %d subset states" % (cap,)
                     )
                 sindex[S2] = len(states)
@@ -760,19 +708,10 @@ def eliminate_lookaround(s, cap=4096):
         for a, _node in prefix:
             S = delta2[(S, a)]
         letters = [a for a, _node in walk]
-        boundary = {}
-        lap_states = []
-        cur = S
-        while cur not in boundary:
-            boundary[cur] = len(lap_states)
-            seen_now = []
-            for a in letters:
-                cur = delta2[(cur, a)]
-                seen_now.append(cur)
-            lap_states.append(seen_now)
-        Pprime = frozenset(
-            st for lap in lap_states[boundary[cur]:] for st in lap
+        laps, entry, _ = lasso(
+            S, lambda T, col: delta2[(T, letters[col % len(letters)])], 0, len(letters)
         )
+        Pprime = frozenset(laps[entry:])
         source_seq = s.output[P]
         candidates = sorted({node for _a, node in walk}, key=order_key)
         for cstar in candidates:
@@ -792,49 +731,44 @@ def eliminate_lookaround(s, cap=4096):
     return result
 
 
-def pipeline_output(result, source, word, k, max_steps=200000):
+def pipeline_output(result, source, word, k):
     """First k output letters of an eliminated machine, driven alongside its
     source.
 
     The source decides the domain and points at the live configuration each
     step; the output is read off that configuration's variable copies.  This
     covers the settling loops whose output rule the subset machine cannot
-    carry itself, and seeds the source's non-empty start values.
+    carry itself, and seeds the source's non-empty start values.  The run
+    pairs the live configuration with the subset state, its lasso keys on
+    that pair and the column class, and the output is streamed along it as
+    in run_output_sst_sf.
     """
     meta = result._elimination
     cindex = {c: i for i, c in enumerate(meta["configs"])}
     ctx = _WordContext(source, word)
-    out_seq = _settled_out_seq(source, word, ctx, max_steps)
-    if k <= 0:
-        return ""
-    vals = {v: "" for v in result.variables}
-    for x in source.variables:
-        vals["%s@%d" % (x, cindex[meta["start"]])] = source.start_values[x]
-    S = result.initial
-    seen = {}
-    it = _steps(source, word, ctx)
-    for _ in range(max_steps):
-        pos, _key, cfg = next(it)
-        a = word.letter_at(pos)
-        vals = apply_subst(result.update[(S, a)], vals)
-        S = result.delta[(S, a)]
+    substs = []
+
+    def step(live, col):
+        cfg, S = live
+        key = _fire(source, ctx, cfg.state, col)
+        substs.append(result.update[(S, key[2])])
+        return _advance(source, cfg, key), result.delta[(S, key[2])]
+
+    run, entry, _ = lasso(
+        (meta["start"], result.initial), step, ctx.entry_pos - 1, ctx.cycle_len
+    )
+    seq = _output_rule(source, (cfg.state for cfg, _S in run[entry:]))
+    for pos, (cfg, S) in enumerate(run):
         if cfg not in S:
             raise ValueError(
                 "the live configuration fell out of the subset state "
                 "at position %d" % (pos,)
             )
-        current = "".join(
-            vals["%s@%d" % (x, cindex[cfg])] for x in out_seq
-        )
-        if len(current) >= k:
-            return current[:k]
-        if pos >= ctx.entry_pos:
-            lk = (cfg, (pos - ctx.entry_pos) % ctx.cycle_len, S)
-            sizes = tuple(len(vals[v]) for v in result.variables)
-            if seen.get(lk) == sizes:
-                return (current + PAD * k)[:k]
-            seen[lk] = sizes
-    raise ValueError("no verdict within %d steps" % (max_steps,))
+    vals = {v: "" for v in result.variables}
+    for x in source.variables:
+        vals["%s@%d" % (x, cindex[meta["start"]])] = source.start_values[x]
+    out_vars = ["%s@%d" % (x, cindex[run[entry][0]]) for x in seq]
+    return stream_output(vals, substs, entry, out_vars, k)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ is counter-free exactly when every element M of the (finite) monoid
 satisfies M^n = M^(n+1) for some n.
 """
 
+from .words import lasso
+
 
 BOT = None  # matrix entry for "no run"
 TOP = -1  # canonical visited set of a run that leaves every accepting set
@@ -286,28 +288,13 @@ class Dma:
 
     def accepts(self, word, start=None):
         """Muller acceptance on an ultimately periodic word."""
-        q = self.initial if start is None else start
-        q, _ = self.run_factor(q, word.prefix)
-        # find the lasso on period boundaries
-        boundary = {q: 0}
-        order = [q]
-        while True:
-            q2, _ = self.run_factor(q, word.period)
-            if q2 in boundary:
-                entry = boundary[q2]
-                break
-            boundary[q2] = len(order)
-            order.append(q2)
-            q = q2
-        infinitely_often = set()
-        q = order[entry]
-        while True:
-            q2, seen = self.run_factor(q, word.period)
-            infinitely_often |= seen
-            q = q2
-            if q == order[entry]:
-                break
-        return frozenset(infinitely_often) in set(self.muller_sets)
+        states, entry, _ = lasso(
+            self.initial if start is None else start,
+            lambda q, col: self.delta[(q, word.letter_at(col + 1))],
+            len(word.prefix),
+            len(word.period),
+        )
+        return frozenset(states[entry:]) in set(self.muller_sets)
 
 
 def matrix_of_word(dma, factor):

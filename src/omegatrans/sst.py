@@ -27,6 +27,7 @@ describes it.
 """
 
 from .muller import BOT, SummarySpace, aperiodicity_witness, generate_monoid
+from .words import lasso
 
 
 PAD = "⊥"
@@ -222,53 +223,31 @@ class RunAnalysis:
     """Lasso data for a machine's unique state run on an ultimately periodic word.
 
     Columns count letters read: column 0 is the start, column i the point
-    after i letters.  Boundary b is the column after the prefix plus b copies
-    of the period; the boundary states eventually cycle (entry, cycle), the
-    infinity set is the set of states inside that cycle, and the settling
-    boundary is the first one after which the run stays inside the infinity
-    set.
+    after i letters.  The run repeats the columns from entry_col on with
+    period cycle_cols (words.lasso), the infinity set is the set of states
+    inside that cycle, and the settling column is the first period boundary
+    (the column after the prefix plus some copies of the period) after which
+    the run stays inside the infinity set.
     """
 
     def __init__(self, t, word):
         self.t = t
         self.word = word
+        lp = len(word.prefix)
         plen = len(word.period)
-        cols = [t.initial]
-        q = t.initial
-        for a in word.prefix:
-            q = t.delta[(q, a)]
-            cols.append(q)
-        boundary_of = {q: 0}
-        boundaries = [q]
-        while True:
-            for a in word.period:
-                q = t.delta[(q, a)]
-                cols.append(q)
-            if q in boundary_of:
-                self.entry = boundary_of[q]
-                self.cycle = len(boundaries) - self.entry
-                break
-            boundary_of[q] = len(boundaries)
-            boundaries.append(q)
-        self._cols = cols
-        self.entry_col = len(word.prefix) + self.entry * plen
-        self.cycle_cols = self.cycle * plen
-        loop_end = len(word.prefix) + (self.entry + self.cycle) * plen
-        self.infinity = frozenset(cols[self.entry_col : loop_end + 1])
+        self._cols, self.entry_col, self.cycle_cols = lasso(
+            t.initial, lambda q, col: t.delta[(q, word.letter_at(col + 1))], lp, plen
+        )
+        self.infinity = frozenset(self._cols[self.entry_col:])
         self.in_domain = self.infinity in t.F
         self.output_seq = t.F.get(self.infinity)
+        self.settle_col = None
         if self.in_domain:
-            j = self.entry
-            while j > 0:
-                lo = len(word.prefix) + (j - 1) * plen
-                if not set(cols[lo : lo + plen + 1]) <= self.infinity:
-                    break
-                j -= 1
-            self.settle_boundary = j
-            self.settle_col = len(word.prefix) + j * plen
-        else:
-            self.settle_boundary = None
-            self.settle_col = None
+            col = self.entry_col
+            while col > lp and self._cols[col - 1] in self.infinity:
+                col -= 1
+            # the first period boundary at or after col
+            self.settle_col = lp - (lp - col) // plen * plen
 
     def state_at(self, col):
         if col < len(self._cols):
@@ -285,36 +264,54 @@ def analyze_run(t, word):
     return RunAnalysis(t, word)
 
 
+def stream_output(vals, substs, entry, out_vars, k):
+    """First k letters of the limit of the word out_vars along a lasso run.
+
+    substs[c] takes the variable values of column c to those of column c+1,
+    and substs[entry:] is the loop the run repeats forever.  From the entry
+    on, the output rule keeps out_vars[:-1] fixed and lets out_vars[-1]
+    only grow at the right, so the output is read at the entry and after
+    each whole loop, and returned as soon as it holds k letters.
+
+    It is padded with ⊥ when the set of non-empty variables at the end of a
+    loop repeats with no output growth in between.  This is exact: whether
+    a loop grows the output, and which variables are non-empty after it,
+    depend only on which are non-empty before it, so from that repeat on no
+    loop adds a letter.  The repeat shows within 2^|X| + 1 loops that add
+    none.
+    """
+    for subst in substs[:entry]:
+        vals = apply_subst(subst, vals)
+    loop = substs[entry:]
+    size = sum(len(vals[x]) for x in out_vars)
+    idle = set()
+    while size < k:
+        for subst in loop:
+            vals = apply_subst(subst, vals)
+        grown = sum(len(vals[x]) for x in out_vars)
+        if grown > size:
+            size = grown
+            idle = set()
+            continue
+        live = frozenset(x for x, v in vals.items() if v)
+        if live in idle:
+            break
+        idle.add(live)
+    out = "".join(vals[x] for x in out_vars)
+    return out[:k].ljust(k, PAD)
+
+
 def run_output(t, word, k):
     """First k output symbols of t on word, ⊥-padded if the limit is finite.
 
     Raises NotInDomain when the set of states visited forever has no output
-    rule.
+    rule.  The padding rule is stream_output's.
     """
     ana = analyze_run(t, word)
     if not ana.in_domain:
         raise NotInDomain(ana.infinity)
-    seq = ana.output_seq
-    vals = t.initial_values()
-    q = t.initial
-    for col in range(1, ana.settle_col + 1):
-        a = word.letter_at(col)
-        vals = apply_subst(t.update[(q, a)], vals)
-        q = t.delta[(q, a)]
-    fixed = "".join(vals[x] for x in seq[:-1])
-    tail_var = seq[-1]
-    tail = vals[tail_var]
-    loop = word.period * ana.cycle
-    while len(fixed) + len(tail) < k:
-        for a in loop:
-            vals = apply_subst(t.update[(q, a)], vals)
-            q = t.delta[(q, a)]
-        new_tail = vals[tail_var]
-        assert new_tail.startswith(tail), "output variable shrank inside the loop"
-        if len(new_tail) == len(tail):
-            return (fixed + tail).ljust(k, PAD)
-        tail = new_tail
-    return (fixed + tail)[:k]
+    substs = [ana.update_at(col) for col in range(1, ana.entry_col + ana.cycle_cols + 1)]
+    return stream_output(t.initial_values(), substs, ana.entry_col, ana.output_seq, k)
 
 
 def values_after(t, word, i):

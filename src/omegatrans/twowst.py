@@ -28,7 +28,7 @@ from .muller import (
     run_coordinate,
 )
 from .sst import PAD, NotInDomain
-from .words import UPWord
+from .words import UPWord, lasso
 
 MARK = "⊢"
 LEFT, STAY, RIGHT = -1, 0, 1
@@ -137,33 +137,22 @@ class TwoWst:
 
 class _WordContext:
     """Per-position guard data of one word: letter, lookbehind state and
-    lookahead verdicts.  All of it is eventually periodic in the position;
-    entry_pos/cycle_len bound the stable part used for loop detection."""
+    lookahead verdicts.  All of it is periodic from position entry_pos on,
+    with period cycle_len: the lasso of the lookbehind run over the columns
+    (words.lasso), whose state after column c is the guard at position c+1."""
 
     def __init__(self, t, word):
         self.t = t
         self.word = word
-        lp = len(word.prefix)
-        plen = len(word.period)
         b = t.lookbehind
-        bs = [b.initial if b else None] * 2  # positions 0 and 1
-        for pos in range(1, lp + 1):
-            prev = bs[pos]
-            bs.append(b.step(prev, word.letter_at(pos)) if b else None)
-        # bs[pos] is now defined for 0 .. lp+1; continue into the period
-        # until (position class, lookbehind state) repeats
-        seen = {}
-        pos = lp + 1
-        while True:
-            key = ((pos - lp - 1) % plen, bs[pos])
-            if key in seen:
-                self.entry_pos = seen[key]
-                self.cycle_len = pos - seen[key]
-                break
-            seen[key] = pos
-            bs.append(b.step(bs[pos], word.letter_at(pos)) if b else None)
-            pos += 1
-        self._bs = bs
+        bs, entry, self.cycle_len = lasso(
+            b.initial if b else None,
+            lambda r, col: b.step(r, word.letter_at(col + 1)) if b else None,
+            len(word.prefix),
+            len(word.period),
+        )
+        self.entry_pos = entry + 1
+        self._bs = [bs[0]] + bs  # position 0 is the end marker
         self._ahead = {}
 
     def letter(self, pos):

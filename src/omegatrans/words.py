@@ -10,6 +10,9 @@ infinite words themselves:
   period ends with can shed that letter by rotating the period).
 
 Positions are 1-based throughout: position i carries the i-th letter.
+Columns count letters read: column 0 is before the first letter, column i
+after the i-th.  Every deterministic run on such a word is a lasso, and
+lasso() finds it for all the runners.
 """
 
 
@@ -81,6 +84,38 @@ def _primitive_root(v):
     if i < len(v):
         return v[:i]
     return v
+
+
+def lasso(start, step, stable, period):
+    """Lasso of a deterministic run over the columns of an ultimately periodic word.
+
+    The run is at start in column 0 and moves from column c to c+1 by
+    step(value, c).  From column stable on, the step depends on the column
+    only through its class (c - stable) mod period.  Hence the first column
+    whose (value, class) pair was seen before closes a cycle that the run
+    repeats forever.
+
+    Returns (values, entry, cycle).  values lists the values of columns
+    0 .. entry + cycle, and the last one equals values[entry].  entry is the
+    first column of that repeated pair, and cycle is the distance to its
+    repeat, a multiple of period.  The set of values the run visits forever is
+    set(values[entry:]).
+    """
+    values = [start]
+    value = start
+    for col in range(stable):
+        value = step(value, col)
+        values.append(value)
+    first = {}
+    col = stable
+    while True:
+        key = (value, (col - stable) % period)
+        if key in first:
+            return values, first[key], col - first[key]
+        first[key] = col
+        value = step(value, col)
+        values.append(value)
+        col += 1
 
 
 def first_divergence(w1, w2):

@@ -130,6 +130,24 @@ def test_compile_and_eliminate_round_trip_through_files(tmp_path, capsys):
     assert capsys.readouterr().out == "baab#" + "a" * 15 + "\n"
 
 
+def test_construction_caps_exit_3(tmp_path, capsys):
+    guarded = tmp_path / "f1.sstsf"
+    assert main(["compile", "2wst-to-sst", F1_2WST, "--cap", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: state blowup: more than 1 states in the conversion"
+    ]
+    assert main(["compile", "2wst-to-sst", F1_2WST, "-o", str(guarded)]) == 0
+    capsys.readouterr()
+    assert main(["eliminate-la", str(guarded), "--cap", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: state blowup: more than 2 reachable configurations"
+    ]
+
+
 def test_usage_and_parse_errors_exit_2(capsys):
     assert main(["monoid", str(MACHINES / "missing.dma")]) == 2
     assert main(["check-1bounded", F1_2WST]) == 2

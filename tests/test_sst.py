@@ -133,6 +133,21 @@ def test_run_output_pads_finite_limit():
     assert out == "ceaaafbddccccg" + "⊥" * 6
 
 
+def test_run_output_waits_out_loops_without_growth():
+    """x takes y while y and z trade a copy of one a, so x grows on every
+    second loop only; a set of non-empty variables seen before a growth
+    must not count as a repeat after it."""
+    xyz = ("x", "y", "z")
+    update = {
+        ("q", "b"): {"y": parse_rhs("a", xyz)},
+        ("q", "a"): {x: parse_rhs(rhs, xyz) for x, rhs in
+                     (("x", "xy"), ("y", "z"), ("z", "y"))},
+    }
+    delta = {("q", "a"): "q", ("q", "b"): "q"}
+    t = Sst("q", "ab", "q", delta, xyz, update, {frozenset("q"): ("x",)})
+    assert run_output(t, UPWord("b", "a"), 6) == "aaaaaa"
+
+
 def test_run_output_prefix_stability_on_padding_machine():
     t = output_graph_demo_sst()
     w = UPWord("123456", "z")

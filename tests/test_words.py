@@ -1,8 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from omegatrans.fixtures import mirror_corpus, mirror_sst, mirror_twowst, random_upword
+from omegatrans.sst import analyze_run
+from omegatrans.twowst import _WordContext
 from omegatrans.words import (
     UPWord,
+    lasso,
     parse_word,
     format_word,
     first_divergence,
@@ -114,3 +120,105 @@ def test_distance_zero_iff_equal(w1, w2):
 def test_prepending_prefix_keeps_tail(w, extra):
     w2 = UPWord(extra + w.prefix, w.period)
     assert w2.suffix(len(extra)) == w
+
+
+def test_lasso_entry_is_the_first_periodic_column_and_its_cycle_is_minimal():
+    """Brute force on random deterministic runs: from column stable on, the
+    (value, column class) pairs are periodic from entry with least period
+    cycle, and from no earlier column with any period."""
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        delta = {(q, a): rng.randrange(n) for q in range(n) for a in "ab"}
+        w = random_upword(rng, "ab", 3, 3)
+        stable, period = len(w.prefix), len(w.period)
+        horizon = stable + 3 * n * period
+        run = [0]
+        for col in range(horizon):
+            run.append(delta[(run[-1], w.letter_at(col + 1))])
+
+        def periodic(start, p):
+            return p % period == 0 and all(
+                run[c] == run[c + p] for c in range(start, horizon - p + 1)
+            )
+
+        values, entry, cycle = lasso(
+            0, lambda q, col: delta[(q, w.letter_at(col + 1))], stable, period
+        )
+        assert values == run[: entry + cycle + 1]
+        assert entry >= stable and periodic(entry, cycle)
+        assert not any(periodic(entry, p) for p in range(1, cycle))
+        assert not any(
+            periodic(c, p)
+            for c in range(stable, entry)
+            for p in range(period, n * period + 1, period)
+        )
+
+
+# (word, settle_col and infinity of analyze_run(mirror_sst(), word),
+#  entry_pos and cycle_len of _WordContext(mirror_twowst(), word)), as
+# computed before the runners shared one lasso finder
+MIRROR_LASSOS = [
+    ("(a)^w", 1, "2", 1, 1),
+    ("(ab)^w", 2, "2", 1, 2),
+    ("(ba)^w", 2, "2", 1, 2),
+    ("#(a)^w", 2, "2", 2, 1),
+    ("##(ba)^w", 4, "2", 3, 2),
+    ("a#(b)^w", 3, "2", 3, 1),
+    ("ab#(a)^w", 4, "2", 4, 1),
+    ("abbb#ba#(ab)^w", 10, "2", 9, 2),
+    ("#a#(b)^w", 4, "2", 4, 1),
+    ("ba#aa#b(ba)^w", 7, "2", 8, 2),
+    ("aaa#b#(ba)^w", 8, "2", 7, 2),
+    ("b#a#b#(a)^w", 7, "2", 7, 1),
+    ("##b#(baa)^w", 7, "2", 5, 3),
+    ("a#baa#(ab)^w", 8, "2", 7, 2),
+    ("b#baa#(abb)^w", 9, "2", 7, 3),
+    ("#bb#bb#(a)^w", 8, "2", 8, 1),
+    ("##aba#(b)^w", 7, "2", 7, 1),
+    ("baa##ab#(aab)^w", 11, "2", 9, 3),
+    ("aa#b#bb#(ba)^w", 10, "2", 9, 2),
+    ("ab#b#b#(aba)^w", 10, "2", 8, 3),
+    ("bbb#aaa#(b)^w", 9, "2", 9, 1),
+    ("ab###(a)^w", 6, "2", 6, 1),
+    ("(aba)^w", 3, "2", 1, 3),
+    ("#(ab)^w", 3, "2", 2, 2),
+    ("(b)^w", 1, "2", 1, 1),
+    ("bab###(bba)^w", 9, "2", 7, 3),
+    ("##(aab)^w", 5, "2", 3, 3),
+    ("b#a#abb#(ba)^w", 10, "2", 9, 2),
+    ("bba##a#(ba)^w", 9, "2", 8, 2),
+    ("(bba)^w", 3, "2", 1, 3),
+    ("###(b)^w", 4, "2", 4, 1),
+    ("bbb##(b)^w", 6, "2", 6, 1),
+    ("b#(b)^w", 3, "2", 3, 1),
+    ("ab#aba#ba#(bba)^w", 13, "2", 11, 3),
+    ("aaa#(ba)^w", 6, "2", 5, 2),
+    ("bba#(a)^w", 5, "2", 5, 1),
+    ("a#(bab)^w", 5, "2", 3, 3),
+    ("ba#(a)^w", 4, "2", 4, 1),
+    ("ab#(ab)^w", 5, "2", 4, 2),
+    ("aaa#aab##(bba)^w", 12, "2", 10, 3),
+    ("ab#a#bb#(b)^w", 9, "2", 9, 1),
+    ("bba#ba#b#(a)^w", 10, "2", 10, 1),
+    ("a#aaa#aa#(b)^w", 10, "2", 10, 1),
+    ("aab##(a)^w", 6, "2", 6, 1),
+    ("aaa#b#(b)^w", 7, "2", 7, 1),
+    ("#(b)^w", 2, "2", 2, 1),
+    ("#ab#(a)^w", 5, "2", 5, 1),
+    ("#bba#abb#(b)^w", 10, "2", 10, 1),
+    ("#aaa#(ba)^w", 7, "2", 6, 2),
+    ("ba##bba#(a)^w", 9, "2", 9, 1),
+]
+
+
+def test_lasso_values_of_the_mirror_runs_are_pinned():
+    t = mirror_sst()
+    t2 = mirror_twowst()
+    rows = []
+    for w in mirror_corpus():
+        ana = analyze_run(t, w)
+        ctx = _WordContext(t2, w)
+        infinity = "".join(sorted(map(str, ana.infinity)))
+        rows.append((format_word(w), ana.settle_col, infinity, ctx.entry_pos, ctx.cycle_len))
+    assert rows == MIRROR_LASSOS
