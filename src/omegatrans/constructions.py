@@ -164,9 +164,12 @@ def run_output_sst_sf(s, word, k):
     The guards fire periodically from the column where the word's guard
     data turns periodic (_WordContext), so the state run's lasso keys on
     (state, column class).  The output is streamed along it by
-    sst.stream_output, whose padding rule is exact: ⊥ once the set of
-    non-empty variables after a loop repeats with no output growth in
-    between.
+    sst.stream_output: only the variables the tail's growth reads over a
+    loop are computed, and once their values repeat the output is filled
+    with the repeating block, or padded with ⊥ if it is empty.  Both rules
+    are exact, because no other variable reaches the output and the loop is
+    deterministic on those values.  ValueError if the loop does not keep
+    the output rule's shape, which guarded machines do not check when built.
     """
     ctx = _WordContext(s, word)
     keys = []
@@ -741,7 +744,10 @@ def pipeline_output(result, source, word, k):
     carry itself, and seeds the source's non-empty start values.  The run
     pairs the live configuration with the subset state, its lasso keys on
     that pair and the column class, and the output is streamed along it as
-    in run_output_sst_sf.
+    in run_output_sst_sf: only the copies the tail's growth reads are
+    computed, so copies of the other configurations (the mirror's guessed
+    reversal, for one) cost nothing, and the output is extrapolated once
+    the read copies' values repeat.
     """
     meta = result._elimination
     cindex = {c: i for i, c in enumerate(meta["configs"])}

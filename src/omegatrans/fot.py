@@ -34,6 +34,7 @@ from .fologic import (
     free_variables,
     horizon_for,
 )
+from .muller import CapExceeded
 from .sst import NotInDomain
 
 
@@ -261,8 +262,8 @@ def run_fot(t, word, k, window=None, max_window=4096, config=DEFAULT_CONFIG):
     The position window starts near k and doubles until two consecutive
     windows agree on the prefix.  Raises NotInDomain if the domain
     sentence fails, ValueError if the order never singles out a unique
-    next node ("not string-shaped") or if no stable prefix emerges
-    within max_window.
+    next node ("not string-shaped"), and CapExceeded if no stable prefix
+    emerges within max_window.
     """
     if k <= 0:
         return ""
@@ -285,6 +286,6 @@ def run_fot(t, word, k, window=None, max_window=4096, config=DEFAULT_CONFIG):
             "not string-shaped: the order formulas do not single out a unique "
             "next output node (window %d)" % (w // 2)
         )
-    raise ValueError(
+    raise CapExceeded(
         "window exhausted: no stable %d-letter prefix within window %d" % (k, w // 2)
     )

@@ -264,40 +264,83 @@ def analyze_run(t, word):
     return RunAnalysis(t, word)
 
 
+def _reads(rhs):
+    return {v for kind, v in rhs if kind == "var"}
+
+
+def _loop_subst(loop, targets):
+    """The right-hand sides of targets over the whole loop, composed back to
+    front so that only the variables they read get expanded."""
+    sigma = identity_subst(targets)
+    for subst in reversed(loop):
+        sigma = compose_subst(subst, sigma)
+    return sigma
+
+
 def stream_output(vals, substs, entry, out_vars, k):
     """First k letters of the limit of the word out_vars along a lasso run.
 
     substs[c] takes the variable values of column c to those of column c+1,
-    and substs[entry:] is the loop the run repeats forever.  From the entry
-    on, the output rule keeps out_vars[:-1] fixed and lets out_vars[-1]
-    only grow at the right, so the output is read at the entry and after
-    each whole loop, and returned as soon as it holds k letters.
+    and substs[entry:] is the loop the run repeats forever.  Its composition
+    σ must keep out_vars[:-1] fixed and send the tail t = out_vars[-1] to
+    t·rest, as the output rules guarantee; ValueError otherwise.  The output
+    is then the value of out_vars at the entry followed by one piece per
+    loop, rest spelled on the values before that loop.
 
-    It is padded with ⊥ when the set of non-empty variables at the end of a
-    loop repeats with no output growth in between.  This is exact: whether
-    a loop grows the output, and which variables are non-empty after it,
-    depend only on which are non-empty before it, so from that repeat on no
-    loop adds a letter.  The repeat shows within 2^|X| + 1 loops that add
-    none.
+    Only the read set R, the variables rest reads closed under the reads of
+    σ, is computed: in the prefix, only the right-hand sides some later step
+    needs for R or out_vars, and in the loop only σ on R.  This is exact,
+    because no other variable reaches the output.  The tail itself is kept
+    as the list of pieces, unless it is in R.
+
+    σ is deterministic on R, so once R's values after loop j equal those
+    after an earlier loop i, pieces i..j-1 repeat forever: the output is
+    filled up with that block, or padded with ⊥ if the block is empty.
+    R's values are saved at the entry and after loops 1, 2, 4, ... (Brent),
+    so values that repeat from loop i on with period p are caught by loop
+    3·max(i, p).  The stop is certain: a value of R that is non-empty after
+    a loop shows up in a piece within |R| more loops, so if the output
+    stops growing, R's values are all empty from some loop on, and repeat.
     """
-    for subst in substs[:entry]:
-        vals = apply_subst(subst, vals)
     loop = substs[entry:]
-    size = sum(len(vals[x]) for x in out_vars)
-    idle = set()
+    *fixed, tail = out_vars
+    sigma = _loop_subst(loop, out_vars)
+    if any(sigma[x] != (("var", x),) for x in fixed) or sigma[tail][:1] != (("var", tail),):
+        raise ValueError("the loop breaks the shape of the output rule %s" % " ".join(out_vars))
+    rest = sigma[tail][1:]
+    read = set()
+    todo = _reads(rest)
+    while todo:
+        read |= todo
+        sigma.update(_loop_subst(loop, todo - sigma.keys()))
+        todo = set().union(*(_reads(sigma[x]) for x in todo)) - read
+    need = read | set(out_vars)
+    prefix = []
+    for subst in reversed(substs[:entry]):
+        prefix.append({x: subst[x] for x in need})
+        need = set().union(*(_reads(rhs) for rhs in prefix[-1].values()))
+    for subst in reversed(prefix):
+        vals = apply_subst(subst, vals)
+
+    pieces = ["".join(vals[x] for x in out_vars)]
+    size = len(pieces[0])
+    step = {x: sigma[x] for x in read}
+    vals = {x: vals[x] for x in read}
+    saved, mark, loops = vals, 1, 0
+    block = None
     while size < k:
-        for subst in loop:
-            vals = apply_subst(subst, vals)
-        grown = sum(len(vals[x]) for x in out_vars)
-        if grown > size:
-            size = grown
-            idle = set()
-            continue
-        live = frozenset(x for x, v in vals.items() if v)
-        if live in idle:
+        pieces.append(apply_subst({tail: rest}, vals)[tail])
+        size += len(pieces[-1])
+        vals = apply_subst(step, vals)
+        loops += 1
+        if vals == saved:
+            block = "".join(pieces[mark:])
             break
-        idle.add(live)
-    out = "".join(vals[x] for x in out_vars)
+        if loops & (loops - 1) == 0:
+            saved, mark = vals, len(pieces)
+    out = "".join(pieces)
+    if block:
+        out += block * -(-(k - len(out)) // len(block))
     return out[:k].ljust(k, PAD)
 
 
@@ -305,7 +348,11 @@ def run_output(t, word, k):
     """First k output symbols of t on word, ⊥-padded if the limit is finite.
 
     Raises NotInDomain when the set of states visited forever has no output
-    rule.  The padding rule is stream_output's.
+    rule.  The output is streamed along the run's lasso by stream_output:
+    only the variables the tail's growth reads are computed, and once their
+    values after a loop repeat, the output is that block repeated (⊥ if it
+    is empty).  Both rules are exact, and the work does not grow with k once
+    the read values repeat.
     """
     ana = analyze_run(t, word)
     if not ana.in_domain:

@@ -18,6 +18,7 @@ transition monoid of the machine and its aperiodicity test.
 
 from .muller import (
     NO_RUN,
+    CapExceeded,
     SummarySpace,
     TransitionMatrix,
     aperiodicity_witness,
@@ -194,7 +195,8 @@ def run_2wst(t, word, k, max_steps=200000):
 
     Raises NotInDomain when the head does not escape to the right (the run
     jams or treads in place) or when the states visited forever are not an
-    accepting set.
+    accepting set, and CapExceeded when no traveling loop shows within
+    max_steps head moves.
     """
     ctx = _WordContext(t, word)
     stable, cycle = ctx.entry_pos, ctx.cycle_len
@@ -246,11 +248,15 @@ def run_2wst(t, word, k, max_steps=200000):
                     pre += loop_out
                 return pre[:k]
         hits.setdefault(key, []).append((len(trace) - 1, pos2))
-    raise ValueError("no traveling loop within %d steps" % max_steps)
+    raise CapExceeded("no traveling loop within %d steps" % max_steps)
 
 
 def reaches(t, word, q, x, q2, y, max_steps=200000):
-    """Does the run from state q at position x reach state q2 at position y?"""
+    """Does the run from state q at position x reach state q2 at position y?
+
+    Raises CapExceeded when the run neither ends nor shows a traveling loop
+    within max_steps head moves.
+    """
     ctx = _WordContext(t, word)
     stable, cycle = ctx.entry_pos, ctx.cycle_len
     target = (q2, y)
@@ -285,7 +291,7 @@ def reaches(t, word, q, x, q2, y, max_steps=200000):
                         return True
                 return False
         hits.setdefault(key, []).append((len(trace) - 1, pos2))
-    raise ValueError("no traveling loop within %d steps" % max_steps)
+    raise CapExceeded("no traveling loop within %d steps" % max_steps)
 
 
 def _entry_tuple(t, states_of_run):
@@ -299,7 +305,8 @@ def anchored_behavior(t, factor, continuation, max_steps=100000):
     and continuation as the rest of the word.  Returns (enter_left,
     enter_right): maps from (entry state, exit state) to the visited-state
     coordinate tuple, for runs entering on the first (resp. last) letter
-    and leaving to the right of the factor.
+    and leaving to the right of the factor.  Raises CapExceeded when a
+    crossing does not resolve within max_steps head moves.
     """
     if not factor:
         raise ValueError("the factor must be non-empty")
@@ -329,7 +336,7 @@ def anchored_behavior(t, factor, continuation, max_steps=100000):
                 if pos < 0:
                     break
             else:
-                raise ValueError("crossing did not resolve within %d steps" % max_steps)
+                raise CapExceeded("crossing did not resolve within %d steps" % max_steps)
         tables.append(table)
     return tables[0], tables[1]
 

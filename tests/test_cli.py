@@ -148,6 +148,15 @@ def test_construction_caps_exit_3(tmp_path, capsys):
     ]
 
 
+def test_runner_limits_exit_3(capsys):
+    assert main(["run", "-k", "2100", F1_FOT, "(a)^w"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: window exhausted: no stable 2100-letter prefix within window 4096"
+    ]
+
+
 def test_usage_and_parse_errors_exit_2(capsys):
     assert main(["monoid", str(MACHINES / "missing.dma")]) == 2
     assert main(["check-1bounded", F1_2WST]) == 2

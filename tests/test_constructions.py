@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from omegatrans import sst
 from omegatrans.constructions import (
     SstSf,
     compare_outputs,
@@ -32,6 +33,7 @@ from omegatrans.sst import (
     apply_subst,
     is_1_bounded,
     is_aperiodic_sst,
+    is_copyless,
     parse_rhs,
     run_output,
     sst_monoid,
@@ -73,11 +75,14 @@ def wrapped_sst(base):
                  update, dict(base.F), lookbehind=behind)
 
 
-def one_letter_sst(rows):
-    """One state q, one letter a, variables x, y, z and the rule {q}: x."""
+def one_state_sst(rows):
+    """One state q, variables x, y, z, the rule {q}: x, and rows[a] the
+    update on letter a."""
     xyz = ("x", "y", "z")
-    update = {("q", "a"): {x: parse_rhs(rhs, xyz) for x, rhs in rows.items()}}
-    return Sst("q", "a", "q", {("q", "a"): "q"}, xyz, update, {frozenset("q"): ("x",)})
+    update = {("q", a): {x: parse_rhs(rhs, xyz) for x, rhs in row.items()}
+              for a, row in rows.items()}
+    delta = {key: "q" for key in update}
+    return Sst("q", "".join(rows), "q", delta, xyz, update, {frozenset("q"): ("x",)})
 
 
 def unrolled_output(t, w, k):
@@ -204,6 +209,20 @@ def test_guarded_transducer_validation():
               {frozenset("z"): ("X",)})
 
 
+@pytest.mark.parametrize("rows", [{"X": "aX"}, {"Y": "aY"}])
+def test_guarded_runner_checks_the_output_shape_of_the_loop(rows):
+    """Guarded machines do not check their output rules when built, so the
+    streaming loop does: the rule X Y needs X kept fixed and Y grown at the
+    right."""
+    xy = ("X", "Y")
+    key = ("z", None, "a", None)
+    s = SstSf("z", "a", "z", {key: "z"}, xy,
+              {key: {x: parse_rhs(rhs, xy) for x, rhs in rows.items()}},
+              {frozenset("z"): xy}, start_values={"X": "b"})
+    with pytest.raises(ValueError, match="the loop breaks the shape of the output rule X Y"):
+        run_output_sst_sf(s, UPWord("", "a"), 4)
+
+
 def test_overlapping_guards_are_an_error_at_run_time():
     ahead = Dma("uv", "a", "u", {("u", "a"): "u", ("v", "a"): "u"}, [{"u"}])
     update = {
@@ -305,7 +324,7 @@ def test_vacuous_guards_eliminate_to_singleton_states():
     ({"x": "x", "y": "ya"}, PAD * 8),
 ])
 def test_streaming_runners_decide_padding_exactly(rows, expect):
-    t = one_letter_sst(rows)
+    t = one_state_sst({"a": rows})
     wrap = wrapped_sst(t)
     w = UPWord("", "a")
     assert run_output(t, w, 8) == expect
@@ -319,16 +338,76 @@ def test_streaming_runners_agree_with_the_unrolled_run():
     run_output of the eliminated machine is left out: elimination does not
     attach an output rule to every settling loop yet."""
     rng = random.Random(5)
-    k = 8
     for _ in range(200):
         t = random_copyless_sst(rng)
         wrap = wrapped_sst(t)
         elim = eliminate_lookaround(wrap)
         for w in domain_words(t, rng, 3):
-            expect = unrolled_output(t, w, k)
-            assert run_output(t, w, k) == expect, w
-            assert run_output_sst_sf(wrap, w, k) == expect, w
-            assert pipeline_output(elim, wrap, w, k) == expect, w
+            for k in (8, 64):
+                expect = unrolled_output(t, w, k)
+                assert run_output(t, w, k) == expect, (w, k)
+                assert run_output_sst_sf(wrap, w, k) == expect, (w, k)
+                assert pipeline_output(elim, wrap, w, k) == expect, (w, k)
+
+
+# y and z swap a and b on every loop, and x takes y's letter
+SWAPPING_ROWS = {"b": {"y": "a", "z": "b"}, "a": {"x": "xy", "y": "z", "z": "y"}}
+
+
+@pytest.mark.parametrize("prefix, period, rows, expect", [
+    pytest.param("b", "a", SWAPPING_ROWS, "ab" * 32, id="read-set-cycles-with-period-2"),
+    pytest.param("b", "a", {"b": {"y": "a"}, "a": {"x": "xz", "z": "y", "y": ""}},
+                 "a" + PAD * 63, id="read-set-cycles-with-an-empty-block"),
+    pytest.param("", "a", {"a": {"x": "xa", "y": "yb"}},
+                 "a" * 64, id="dead-variable-grows-beside-the-tail"),
+    # y grows forever, passed between y and z; letter a reads z into x, but
+    # over the whole loop ab the tail reads nothing, so y never matters
+    pytest.param("", "ab", {"a": {"x": "xz", "z": "ya", "y": ""}, "b": {"y": "z", "z": ""}},
+                 PAD * 64, id="variable-read-by-one-letter-but-not-by-the-loop"),
+])
+def test_streaming_runners_stop_by_the_read_set(prefix, period, rows, expect):
+    """One machine per way the output loop can stop: the read set R's
+    values repeat with a non-empty or an empty block of output, and
+    variables outside R, growing or not, are never computed.  Values of a
+    copyless R end up constant, so a longer period needs a copyful machine,
+    which only the plain runner takes."""
+    t = one_state_sst(rows)
+    w = UPWord(prefix, period)
+    k = len(expect)
+    assert unrolled_output(t, w, k) == expect
+    assert run_output(t, w, k) == expect
+    if all(is_copyless(subst) for subst in t.update.values()):
+        wrap = wrapped_sst(t)
+        assert run_output_sst_sf(wrap, w, k) == expect
+        assert pipeline_output(eliminate_lookaround(wrap), wrap, w, k) == expect
+
+
+def test_streaming_work_does_not_grow_with_k(monkeypatch):
+    """Once the read set's values repeat, the rest of the output is a
+    repeated block, so f1.sst, the compiled mirror and a machine whose read
+    values cycle with period 2 apply and compose as many substitutions at
+    k=40 as at k=10^5."""
+    src = mirror_twowst()
+    machines = [mirror_sst(), eliminate_lookaround(twowst_to_sst_sf(src))]
+    swapping = one_state_sst(SWAPPING_ROWS)
+    calls = []
+    for name in ("apply_subst", "compose_subst"):
+        real = getattr(sst, name)
+        monkeypatch.setattr(sst, name, lambda *args, real=real: calls.append(1) or real(*args))
+
+    def work(t, w, k):
+        del calls[:]
+        return run_output(t, w, k), len(calls)
+
+    for w in mirror_corpus():
+        for t in machines:
+            short, long = work(t, w, 40), work(t, w, 10 ** 5)
+            assert short == (run_2wst(src, w, 40), long[1]), w
+            assert long[0] == run_2wst(src, w, 10 ** 5), w
+    w = UPWord("b", "a")
+    short, long = work(swapping, w, 40), work(swapping, w, 10 ** 5)
+    assert short == ("ab" * 20, long[1])
+    assert long[0] == "ab" * 50000
 
 
 def test_colliding_updates_take_the_least_configuration():

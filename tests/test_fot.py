@@ -4,6 +4,7 @@ import pytest
 from omegatrans.fixtures import mirror_fot, mirror_sst, mirror_twowst
 from omegatrans.fologic import evaluate, parse_formula
 from omegatrans.fot import Fot, bulk_evaluate, fot_domain, node_label, run_fot
+from omegatrans.muller import CapExceeded
 from omegatrans.sst import run_output
 from omegatrans.twowst import run_2wst
 from omegatrans.words import UPWord
@@ -115,7 +116,7 @@ def test_window_exhausted_when_output_is_finite():
         {(1, "a"): parse_formula("La(x) & !(E y. (y < x))")},
         {(1, 1): parse_formula("x < y")},
     )
-    with pytest.raises(ValueError, match="window exhausted"):
+    with pytest.raises(CapExceeded, match="window exhausted"):
         run_fot(one, UPWord("", "a"), 5, max_window=64)
 
 

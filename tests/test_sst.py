@@ -33,6 +33,7 @@ from omegatrans.sst import (
     path_conditions,
     run_output,
     useful,
+    values_after,
 )
 from omegatrans.words import UPWord
 
@@ -146,6 +147,25 @@ def test_run_output_waits_out_loops_without_growth():
     delta = {("q", "a"): "q", ("q", "b"): "q"}
     t = Sst("q", "ab", "q", delta, xyz, update, {frozenset("q"): ("x",)})
     assert run_output(t, UPWord("b", "a"), 6) == "aaaaaa"
+
+
+def test_run_output_extends_a_tail_that_a_copy_reads():
+    """y keeps a copy of the tail x, so x spells the Fibonacci word, the
+    fixed point of a -> ab, b -> a, and the read set {x, y} never repeats."""
+    xy = ("x", "y")
+    update = {
+        ("q", "b"): {"x": parse_rhs("xa", xy), "y": parse_rhs("b", xy)},
+        ("q", "a"): {"x": parse_rhs("xy", xy), "y": parse_rhs("x", xy)},
+    }
+    delta = {("q", "a"): "q", ("q", "b"): "q"}
+    t = Sst("q", "ab", "q", delta, xy, update, {frozenset("q"): ("x",)})
+    fibonacci = "a"
+    while len(fibonacci) < 300:
+        fibonacci = "".join({"a": "ab", "b": "a"}[c] for c in fibonacci)
+    w = UPWord("b", "a")
+    assert values_after(t, w, 13)["x"][:300] == fibonacci[:300]
+    for k in (1, 5, 64, 300):
+        assert run_output(t, w, k) == fibonacci[:k]
 
 
 def test_run_output_prefix_stability_on_padding_machine():

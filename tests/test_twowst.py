@@ -9,6 +9,7 @@ from omegatrans.fixtures import (
     mirror_twowst,
     plain_copier_twowst,
 )
+from omegatrans.muller import CapExceeded
 from omegatrans.sst import NotInDomain, run_output
 from omegatrans.twowst import (
     RIGHT,
@@ -90,6 +91,17 @@ def test_reaches_mirror():
     assert reaches(t, w, "t", 1, "t", 100)
     assert not reaches(t, w, "t", 1, "p", 5)
     assert not reaches(t, w, "q", 1, "p", 1)
+
+
+def test_step_budgets_raise_cap_exceeded():
+    t = mirror_twowst()
+    w = UPWord("ab#", "a")
+    with pytest.raises(CapExceeded, match="no traveling loop within 3 steps"):
+        run_2wst(t, w, 10, max_steps=3)
+    with pytest.raises(CapExceeded, match="no traveling loop within 3 steps"):
+        reaches(t, w, "t", 1, "t", 100, max_steps=3)
+    with pytest.raises(CapExceeded, match="crossing did not resolve within 2 steps"):
+        anchored_behavior(t, "ab#", UPWord("", "a"), max_steps=2)
 
 
 def test_anchored_behavior_of_first_block():
