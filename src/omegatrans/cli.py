@@ -7,7 +7,7 @@ format from formats.py; words are written as PREFIX(PERIOD)^w.
 Exit codes: 0 success (or all-equal for compare), 1 a property failed, a
 word was rejected, or a mismatch was found, 2 usage or parse errors, 3 a
 resource limit was hit: a monoid or a construction grew past its --cap, or
-a runner ran out of its step budget or window (CapExceeded).
+the first-order runner ran out of its window (CapExceeded).
 """
 
 import argparse

@@ -19,8 +19,8 @@ from collections import deque, namedtuple
 
 from .fot import Fot, run_fot
 from .muller import CapExceeded
-from .sst import PAD, NotInDomain, Sst, is_copyless, run_output, stream_output
-from .twowst import LEFT, MARK, RIGHT, STAY, TwoWst, _WordContext, run_2wst
+from .sst import PAD, NotInDomain, Sst, check_output_shape, is_copyless, run_output, stream_output
+from .twowst import LEFT, MARK, RIGHT, STAY, TwoWst, _WordContext, guarded_row, run_2wst
 from .words import UPWord, first_divergence, lasso
 
 
@@ -31,8 +31,9 @@ class SstSf:
     lookbehind state or None for "any", ahead a lookahead state or None.
     delta may be partial: a position where no row fires rejects the word,
     one where several fire is an error caught at run time.  Every update
-    row must be copyless.  start_values lets variables begin with non-empty
-    content (a plain Sst always starts empty).
+    row must be copyless, and the output rules keep their shape as on a
+    plain Sst (sst.check_output_shape).  start_values lets variables begin
+    with non-empty content (a plain Sst always starts empty).
     """
 
     def __init__(self, states, alphabet, initial, delta, variables, update,
@@ -61,9 +62,7 @@ class SstSf:
             if p is not None:
                 if lookahead is None or p not in lookahead.states:
                     raise ValueError("unknown lookahead guard %r" % (p,))
-            self._by_qa.setdefault((q, a), []).append(key)
-        for rows in self._by_qa.values():
-            rows.sort(key=lambda key: (str(key[1]), str(key[3])))
+            self._by_qa.setdefault((q, a), []).append((r, p, key))
         self.update = {}
         for key in self.delta:
             subst = dict(update.get(key, {}))
@@ -89,6 +88,7 @@ class SstSf:
         self.muller_sets = tuple(
             sorted(self.output, key=lambda P: tuple(sorted(map(str, P))))
         )
+        check_output_shape(self.output, self.delta, self.update)
         self.start_values = {x: "" for x in self.variables}
         for x, v in (start_values or {}).items():
             if x not in self.variables:
@@ -97,22 +97,6 @@ class SstSf:
 
     def initial_values(self):
         return dict(self.start_values)
-
-    def applicable_key(self, q, letter, behind, ahead_ok):
-        """The unique transition key firing in this position context, or None."""
-        found = None
-        for key in self._by_qa.get((q, letter), ()):
-            _, r, _, p = key
-            if r is not None and r != behind:
-                continue
-            if p is not None and not ahead_ok(p):
-                continue
-            if found is not None:
-                raise ValueError(
-                    "ambiguous guards in state %r at letter %r" % (q, letter)
-                )
-            found = key
-        return found
 
 
 Configuration = namedtuple("Configuration", ["state", "behind", "claims"])
@@ -138,9 +122,7 @@ def _advance(s, cfg, key):
 def _fire(s, ctx, q, col):
     """Key of the row firing in state q on the letter after column col."""
     pos = col + 1
-    key = s.applicable_key(
-        q, ctx.word.letter_at(pos), ctx.b_state(pos), lambda p: ctx.ahead_ok(pos, p)
-    )
+    key = ctx.transition(q, pos)
     if key is None:
         raise NotInDomain(
             frozenset(),
@@ -250,20 +232,6 @@ def _cell_cross(t, f, b, a, alpha):
     done = {}
     visiting = set()
 
-    def row_for(s):
-        found = None
-        for r, p, value in t._by_qa.get((s, a), ()):
-            if r is not None and r != b:
-                continue
-            if p is not None and p != alpha:
-                continue
-            if found is not None:
-                raise ValueError(
-                    "ambiguous guards in state %r at letter %r" % (s, a)
-                )
-            found = value
-        return found
-
     def solve(s):
         if s in done:
             return done[s]
@@ -273,7 +241,7 @@ def _cell_cross(t, f, b, a, alpha):
                 "entered in state %r" % (a, s)
             )
         visiting.add(s)
-        row = row_for(s)
+        row = guarded_row(t._by_qa, s, a, b, lambda p: p == alpha)
         res = None
         if row is not None:
             q2, gamma, move = row
@@ -605,22 +573,6 @@ def useful_configs(s, cap=100000):
     return useful
 
 
-def _output_shape_ok(Pprime, seq, alphabet, delta2, update2):
-    last = seq[-1]
-    for S in Pprime:
-        for a in alphabet:
-            if delta2[(S, a)] not in Pprime:
-                continue
-            subst = update2[(S, a)]
-            for x in seq[:-1]:
-                if subst[x] != (("var", x),):
-                    return False
-            rhs = subst[last]
-            if not rhs or rhs[0] != ("var", last):
-                return False
-    return True
-
-
 def eliminate_lookaround(s, cap=4096):
     """Plain streaming transducer simulating the guarded one.
 
@@ -719,13 +671,16 @@ def eliminate_lookaround(s, cap=4096):
         candidates = sorted({node for _a, node in walk}, key=order_key)
         for cstar in candidates:
             seq2 = tuple(vname(x, cstar) for x in source_seq)
-            if _output_shape_ok(Pprime, seq2, s.alphabet, delta2, update2):
-                if Pprime in output2:
-                    if output2[Pprime] != seq2:
-                        conflicted.add(Pprime)
-                else:
-                    output2[Pprime] = seq2
-                break
+            try:
+                check_output_shape({Pprime: seq2}, delta2, update2)
+            except ValueError:
+                continue
+            if Pprime in output2:
+                if output2[Pprime] != seq2:
+                    conflicted.add(Pprime)
+            else:
+                output2[Pprime] = seq2
+            break
     for Pprime in conflicted:
         output2.pop(Pprime, None)
 

@@ -14,7 +14,7 @@ from .fologic import parse_formula
 from .fot import Fot
 from .muller import Dma
 from .sst import Sst, analyze_run, parse_rhs
-from .twowst import LEFT, MARK, RIGHT, TwoWst
+from .twowst import LEFT, MARK, RIGHT, STAY, TwoWst
 from .words import UPWord
 
 
@@ -221,6 +221,26 @@ def random_copyless_sst(rng, max_states=4, max_vars=3, alphabet="ab"):
                 subst["X"] = (("var", "X"),) + subst["X"]
                 update[(q, a)] = subst
     return Sst(states, alphabet, 0, delta, variables, update, {loop_set: ("X",)})
+
+
+def random_twowst(rng, max_states=3, alphabet="ab"):
+    """Seeded generator of unguarded two-way transducers whose runs jam,
+    fall off the left end, tread in place and travel.  Each (state, letter)
+    pair, end marker included, has a row with probability 9/10, moving
+    right with probability 3/5; each state set accepts with probability 1/2.
+    """
+    n = rng.randint(1, max_states)
+    states = list(range(n))
+    delta = {}
+    for q in states:
+        for a in tuple(alphabet) + (MARK,):
+            if rng.random() < 0.9:
+                move = rng.choice((RIGHT, RIGHT, RIGHT, STAY, LEFT))
+                out = rng.choice(("",) + tuple(alphabet))
+                delta[(q, None, a, None)] = (rng.randrange(n), out, move)
+    subsets = [{q for q in states if mask >> q & 1} for mask in range(1, 1 << n)]
+    muller = [P for P in subsets if rng.random() < 0.5]
+    return TwoWst(states, alphabet, 0, delta, muller)
 
 
 def domain_words(t, rng, count, attempts=500, settle_cap=None, max_prefix=2, max_period=2):

@@ -122,6 +122,34 @@ class NotInDomain(Exception):
         super().__init__(message)
 
 
+def check_output_shape(rules, delta, update):
+    """ValueError unless every output rule keeps its shape inside its state set.
+
+    rules maps a state set P to its output variables x_1 .. x_n, delta maps
+    a transition key, whose first item is the source state, to the target
+    state, and update maps the key to its substitution.  On every transition
+    from P into P, x_1 .. x_{n-1} must stay put and x_n may only grow at the
+    right end; otherwise the limit need not exist.
+    """
+    for seq in set(rules.values()):
+        *fixed, last = seq
+        sets = [P for P, other in rules.items() if other == seq]
+        for key, q2 in delta.items():
+            subst = update[key]
+            moved = [x for x in fixed if subst[x] != (("var", x),)]
+            if not moved and subst[last][:1] == (("var", last),):
+                continue
+            for P in sets:
+                if key[0] in P and q2 in P:
+                    where = "inside %r (transition %s)" % (
+                        set(P), ",".join(map(repr, key)))
+                    if moved:
+                        raise ValueError(
+                            "output variable %r must be unchanged %s" % (moved[0], where))
+                    raise ValueError(
+                        "output variable %r must extend itself %s" % (last, where))
+
+
 class Sst:
     """Deterministic streaming transducer with Muller output rules.
 
@@ -180,29 +208,7 @@ class Sst:
         self.muller_sets = tuple(
             sorted(self.F, key=lambda P: tuple(sorted(map(str, P))))
         )
-        self._check_output_shape()
-
-    def _check_output_shape(self):
-        # inside an accepting set, x_1 .. x_{n-1} must stay put and x_n may
-        # only grow at the right end; otherwise the limit need not exist
-        for P, seq in self.F.items():
-            last = seq[-1]
-            for q in P:
-                for a in self.alphabet:
-                    if self.delta[(q, a)] not in P:
-                        continue
-                    subst = self.update[(q, a)]
-                    for x in seq[:-1]:
-                        if subst[x] != (("var", x),):
-                            raise ValueError(
-                                "output variable %r must be unchanged inside %r "
-                                "(transition %r,%r)" % (x, set(P), q, a)
-                            )
-                    if not subst[last] or subst[last][0] != ("var", last):
-                        raise ValueError(
-                            "output variable %r must extend itself inside %r "
-                            "(transition %r,%r)" % (last, set(P), q, a)
-                        )
+        check_output_shape(self.F, self.delta, self.update)
 
     def step(self, q, a):
         return self.delta[(q, a)]

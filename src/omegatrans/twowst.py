@@ -8,6 +8,9 @@ may be guarded: by the state a lookbehind DFA reaches on the strict prefix,
 and by acceptance of the strict suffix from a chosen state of a lookahead
 Muller automaton.
 
+Runs need no step budget: _travel decides a run on a whole word within a
+proved number of moves, and _cross walks the head through a finite factor.
+
 Factors of a word are summarized by crossing behaviors: for each of the
 four enter/exit side combinations, the run summaries of module muller, that
 is the deterministic partial map from entry state to exit state (None where
@@ -18,7 +21,6 @@ transition monoid of the machine and its aperiodicity test.
 
 from .muller import (
     NO_RUN,
-    CapExceeded,
     SummarySpace,
     TransitionMatrix,
     aperiodicity_witness,
@@ -117,23 +119,24 @@ class TwoWst:
                 raise ValueError("output must be a string, got %r" % (out,))
             self._by_qa.setdefault((q, a), []).append((r, p, value))
 
-    def applicable(self, q, letter, behind, ahead_ok):
-        """The unique transition for this configuration, or None.
 
-        ahead_ok maps a lookahead state to the suffix-acceptance verdict.
-        """
-        found = None
-        for r, p, value in self._by_qa.get((q, letter), ()):
-            if r is not None and r != behind:
-                continue
-            if p is not None and not ahead_ok(p):
-                continue
+def guarded_row(rows, q, letter, behind, ahead_ok):
+    """The value of the unique row whose guards hold, or None.
+
+    rows maps (state, letter) to (behind guard, ahead guard, value) triples,
+    a guard being None for "any".  behind is the lookbehind state at the
+    position and ahead_ok maps a lookahead state to the suffix-acceptance
+    verdict.  Two rows that both hold are an error.
+    """
+    found = None
+    for r, p, value in rows.get((q, letter), ()):
+        if (r is None or r == behind) and (p is None or ahead_ok(p)):
             if found is not None:
                 raise ValueError(
                     "ambiguous guards in state %r at letter %r" % (q, letter)
                 )
             found = value
-        return found
+    return found
 
 
 class _WordContext:
@@ -182,131 +185,147 @@ class _WordContext:
         return self._ahead[key]
 
     def transition(self, q, pos):
-        return self.t.applicable(
-            q,
-            self.letter(pos),
-            self.b_state(pos),
-            lambda p: self.ahead_ok(pos, p),
-        )
+        """The row firing in state q at pos: its value on a TwoWst, its key
+        on a constructions.SstSf."""
+        return guarded_row(self.t._by_qa, q, self.letter(pos), self.b_state(pos),
+                           lambda p: self.ahead_ok(pos, p))
 
 
-def run_2wst(t, word, k, max_steps=200000):
-    """First k output letters of t on word, ⊥-padded when output stays finite.
+def _travel(ctx, q, pos):
+    """Follow the head from state q at position pos until its run is decided.
 
-    Raises NotInDomain when the head does not escape to the right (the run
-    jams or treads in place) or when the states visited forever are not an
-    accepting set, and CapExceeded when no traveling loop shows within
-    max_steps head moves.
+    Returns (trace, outs, loop, why): the configurations (state, position)
+    of the walk, the output of each move, and either the index where a
+    rightward traveling loop starts, with why None, or loop None and why
+    the message of how the run ends (it jams, falls off the left end, or
+    treads in place: a configuration repeats).  A loop repeats
+    trace[loop:-1] forever, shifted right each time by the displacement
+    trace[-1][1] - trace[loop][1].
+
+    An excursion is a stretch of the walk at or past entry_pos, where the
+    guard data is periodic with period cycle_len.  Within one, the first
+    visits of new positions are recorded under (state, column class), and
+    two records with the same key close the loop: the run from the second
+    is the run from the first shifted by a multiple of cycle_len.
+
+    The walk ends within |Q|·(max(pos, entry_pos) + |Q|·cycle_len + 2)
+    moves.  Every configuration occurs at most once, since a repeat ends
+    the walk.  An excursion starts at a position s <= max(pos, entry_pos)
+    and the head moves by at most one cell, so its records sit at s, s+1,
+    ..., each with one of |Q|·cycle_len keys: the record at s +
+    |Q|·cycle_len closes the loop at the latest.  So the walk visits only
+    positions up to max(pos, entry_pos) + |Q|·cycle_len, and every move but
+    the last reaches a new configuration among them.
     """
-    ctx = _WordContext(t, word)
-    stable, cycle = ctx.entry_pos, ctx.cycle_len
-    trace = [(t.initial, 1)]
+    entry, cycle = ctx.entry_pos, ctx.cycle_len
+    trace = [(q, pos)]
     outs = []
-    literal = {(t.initial, 1)}
-    hits = {}
-    accepting = set(t.muller_sets)
-    for _ in range(max_steps):
-        q, pos = trace[-1]
+    seen = {(q, pos)}
+    records = {}
+    far = entry - 1
+    while True:
+        if pos < entry:
+            records.clear()
+            far = entry - 1
+        elif pos > far:
+            far = pos
+            key = (q, (pos - entry) % cycle)
+            if key in records:
+                return trace, outs, records[key], None
+            records[key] = len(trace) - 1
         picked = ctx.transition(q, pos)
         if picked is None:
-            raise NotInDomain(
-                frozenset(),
-                "stuck: no transition applies in state %r at position %d" % (q, pos),
-            )
-        q2, out, move = picked
-        pos2 = pos + move
-        if pos2 < 0:
-            raise NotInDomain(frozenset(), "stuck: the head fell off the left end")
+            why = "stuck: no transition applies in state %r at position %d"
+            return trace, outs, None, why % (q, pos)
+        q, out, move = picked
+        pos += move
+        if pos < 0:
+            return trace, outs, None, "stuck: the head fell off the left end"
+        if (q, pos) in seen:
+            why = "stuck: the head treads in place in state %r at position %d"
+            return trace, outs, None, why % (q, pos)
+        seen.add((q, pos))
+        trace.append((q, pos))
         outs.append(out)
-        cfg = (q2, pos2)
-        if cfg in literal:
-            raise NotInDomain(
-                frozenset(),
-                "stuck: the head treads in place in state %r at position %d" % cfg,
-            )
-        literal.add(cfg)
-        trace.append(cfg)
-        if pos2 < stable:
-            continue
-        key = (q2, (pos2 - stable) % cycle)
-        for t1, p1 in hits.get(key, ()):
-            if pos2 > p1 and min(pp for _, pp in trace[t1:]) >= stable:
-                # rightward traveling loop: the tail repeats this segment
-                # shifted further and further right
-                loop_states = frozenset(s for s, _ in trace[t1:-1])
-                if loop_states not in accepting:
-                    raise NotInDomain(
-                        loop_states,
-                        "rejected: states visited forever {%s} are not accepting"
-                        % ",".join(sorted(map(str, loop_states))),
-                    )
-                pre = "".join(outs[:t1])
-                loop_out = "".join(outs[t1:])
-                if not loop_out:
-                    return pre[:k].ljust(k, PAD)
-                while len(pre) < k:
-                    pre += loop_out
-                return pre[:k]
-        hits.setdefault(key, []).append((len(trace) - 1, pos2))
-    raise CapExceeded("no traveling loop within %d steps" % max_steps)
 
 
-def reaches(t, word, q, x, q2, y, max_steps=200000):
+def run_2wst(t, word, k):
+    """First k output letters of t on word, ⊥-padded when output stays finite.
+
+    The head's run from the first letter is followed by _travel until it
+    settles into its traveling loop; the output is the output before the
+    loop followed by the loop's output repeated.  Raises NotInDomain when
+    the head does not escape to the right (the run jams, falls off the left
+    end or treads in place) or when the states visited forever, those of
+    the loop, are not an accepting set.
+    """
+    trace, outs, loop, why = _travel(_WordContext(t, word), t.initial, 1)
+    if loop is None:
+        raise NotInDomain(frozenset(), why)
+    loop_states = frozenset(s for s, _ in trace[loop:-1])
+    if loop_states not in t.muller_sets:
+        raise NotInDomain(
+            loop_states,
+            "rejected: states visited forever {%s} are not accepting"
+            % ",".join(sorted(map(str, loop_states))),
+        )
+    out, loop_out = "".join(outs[:loop]), "".join(outs[loop:])
+    if loop_out:
+        out += loop_out * -(-(k - len(out)) // len(loop_out))
+    return out[:k].ljust(k, PAD)
+
+
+def reaches(t, word, q, x, q2, y):
     """Does the run from state q at position x reach state q2 at position y?
 
-    Raises CapExceeded when the run neither ends nor shows a traveling loop
-    within max_steps head moves.
+    True when (q2, y) is in the trace of _travel from (q, x), or, when the
+    run travels, is a configuration of its loop shifted right by a multiple
+    of the loop's displacement.
     """
-    ctx = _WordContext(t, word)
-    stable, cycle = ctx.entry_pos, ctx.cycle_len
-    target = (q2, y)
-    trace = [(q, x)]
-    literal = {(q, x)}
-    hits = {}
-    for _ in range(max_steps):
-        cur = trace[-1]
-        if cur == target:
-            return True
-        picked = ctx.transition(*cur)
+    trace, _, loop, _ = _travel(_WordContext(t, word), q, x)
+    if (q2, y) in trace:
+        return True
+    if loop is None:
+        return False
+    delta = trace[-1][1] - trace[loop][1]
+    return any(s == q2 and y > p and (y - p) % delta == 0 for s, p in trace[loop:])
+
+
+def _cross(transition, q, pos, exits):
+    """Walk the head from state q at position pos until it reaches one of
+    the exit positions, moving by transition(state, position).
+
+    Returns (exit position, state, visited states, the start and exit state
+    included), or None when the head jams, falls off the left end or
+    repeats a configuration.  Every exit set holds the position right of
+    the factor, so the head stays in finitely many positions and the walk
+    ends.
+    """
+    seen = set()
+    states = {q}
+    while pos not in exits:
+        if pos < 0 or (q, pos) in seen:
+            return None
+        seen.add((q, pos))
+        picked = transition(q, pos)
         if picked is None:
-            return False
-        s2, _, move = picked
-        pos2 = cur[1] + move
-        if pos2 < 0:
-            return False
-        cfg = (s2, pos2)
-        if cfg in literal:
-            return False
-        literal.add(cfg)
-        trace.append(cfg)
-        if pos2 < stable:
-            continue
-        key = (s2, (pos2 - stable) % cycle)
-        for t1, p1 in hits.get(key, ()):
-            if pos2 > p1 and min(pp for _, pp in trace[t1:]) >= stable:
-                # the tail repeats trace[t1:] shifted by multiples of delta
-                delta = pos2 - p1
-                for s, p in trace[t1:]:
-                    if s == q2 and y >= p + delta and (y - p) % delta == 0:
-                        return True
-                return False
-        hits.setdefault(key, []).append((len(trace) - 1, pos2))
-    raise CapExceeded("no traveling loop within %d steps" % max_steps)
+            return None
+        q, _, move = picked
+        pos += move
+        states.add(q)
+    return pos, q, states
 
 
-def _entry_tuple(t, states_of_run):
-    return tuple(run_coordinate(states_of_run, m) for m in t.muller_sets)
-
-
-def anchored_behavior(t, factor, continuation, max_steps=100000):
+def anchored_behavior(t, factor, continuation):
     """Crossing behavior of a factor placed at the very start of a word.
 
     The factor occupies positions 1..len(factor), with the end marker at 0
     and continuation as the rest of the word.  Returns (enter_left,
     enter_right): maps from (entry state, exit state) to the visited-state
     coordinate tuple, for runs entering on the first (resp. last) letter
-    and leaving to the right of the factor.  Raises CapExceeded when a
-    crossing does not resolve within max_steps head moves.
+    and leaving to the right of the factor.  Each run is walked by _cross
+    with the one exit len(factor)+1; the end marker bounds it on the left,
+    so every run leaves, jams, falls off or repeats a configuration.
     """
     if not factor:
         raise ValueError("the factor must be non-empty")
@@ -317,26 +336,10 @@ def anchored_behavior(t, factor, continuation, max_steps=100000):
     for start in (1, m):
         table = {}
         for q in t.states:
-            seen_cfg = set()
-            states = {q}
-            cur, pos = q, start
-            for _ in range(max_steps):
-                if pos == m + 1:
-                    table[(q, cur)] = _entry_tuple(t, states)
-                    break
-                if (cur, pos) in seen_cfg:
-                    break
-                seen_cfg.add((cur, pos))
-                picked = ctx.transition(cur, pos)
-                if picked is None:
-                    break
-                cur, _, move = picked
-                pos += move
-                states.add(cur)
-                if pos < 0:
-                    break
-            else:
-                raise CapExceeded("crossing did not resolve within %d steps" % max_steps)
+            res = _cross(ctx.transition, q, start, (m + 1,))
+            if res is not None:
+                _, q2, states = res
+                table[(q, q2)] = tuple(run_coordinate(states, P) for P in t.muller_sets)
         tables.append(table)
     return tables[0], tables[1]
 
@@ -465,39 +468,22 @@ def element_of_word(t, factor):
         for pos in range(2, m + 1):
             bs[pos] = b.step(bs[pos - 1], factor[pos - 2]) if b else None
         for c in _machine_contexts(t):
+            def step(q, pos):
+                return guarded_row(
+                    t._by_qa, q, factor[pos - 1], bs[pos],
+                    lambda p: t.lookahead.run_factor(p, factor[pos:])[0] in c,
+                )
+
             runs = {side: [None] * len(t.states) for side in SIDES}
             for enter, start in (("l", 1), ("r", m)):
                 for i, q in enumerate(t.states):
-                    res = _cross_pure(t, factor, bs, c, q, start)
+                    res = _cross(step, q, start, (0, m + 1))
                     if res is not None:
-                        exit_side, q2, states = res
-                        runs[enter + exit_side][i] = (q2, states, ())
+                        exit_pos, q2, states = res
+                        side = enter + ("l" if exit_pos == 0 else "r")
+                        runs[side][i] = (q2, states, ())
             tables[(e, c)] = {side: space.element(runs[side]) for side in SIDES}
     return TwowstElement(t, eta_b, eta_a, m_a, tables)
-
-
-def _cross_pure(t, factor, bs, c, q, pos):
-    m = len(factor)
-    seen = set()
-    states = {q}
-    while True:
-        if pos == 0:
-            return "l", q, states
-        if pos == m + 1:
-            return "r", q, states
-        if (q, pos) in seen:
-            return None
-        seen.add((q, pos))
-
-        def ahead_ok(p, _pos=pos):
-            return t.lookahead.run_factor(p, factor[_pos:])[0] in c
-
-        picked = t.applicable(q, factor[pos - 1], bs[pos], ahead_ok)
-        if picked is None:
-            return None
-        q, _, move = picked
-        pos += move
-        states.add(q)
 
 
 def _combine_quadrants(a, b):

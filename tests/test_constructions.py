@@ -211,16 +211,14 @@ def test_guarded_transducer_validation():
 
 @pytest.mark.parametrize("rows", [{"X": "aX"}, {"Y": "aY"}])
 def test_guarded_runner_checks_the_output_shape_of_the_loop(rows):
-    """Guarded machines do not check their output rules when built, so the
-    streaming loop does: the rule X Y needs X kept fixed and Y grown at the
-    right."""
+    """The rule X Y needs X kept fixed and Y grown at the right inside its
+    state set; a guarded machine that breaks it is refused when built."""
     xy = ("X", "Y")
     key = ("z", None, "a", None)
-    s = SstSf("z", "a", "z", {key: "z"}, xy,
+    with pytest.raises(ValueError, match="output variable '[XY]' must (be unchanged|extend itself)"):
+        SstSf("z", "a", "z", {key: "z"}, xy,
               {key: {x: parse_rhs(rhs, xy) for x, rhs in rows.items()}},
               {frozenset("z"): xy}, start_values={"X": "b"})
-    with pytest.raises(ValueError, match="the loop breaks the shape of the output rule X Y"):
-        run_output_sst_sf(s, UPWord("", "a"), 4)
 
 
 def test_overlapping_guards_are_an_error_at_run_time():

@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from omegatrans.cli import main
 from omegatrans.constructions import eliminate_lookaround, twowst_to_sst_sf
 from omegatrans.fixtures import (
     alternating_copier_twowst,
@@ -119,6 +120,20 @@ def test_validation_errors_become_format_errors():
             "kind: dma\nstates: q\ninitial: q\nalphabet: a\n"
             "delta: q,a -> q\nmuller: {q}\nlookahead:\nkind: dma\n"
         )
+
+
+def test_guarded_machine_with_a_malformed_output_rule_is_refused(tmp_path):
+    # the rule X Y needs X kept fixed inside {z}, but X grows
+    text = (
+        "kind: sst-sf\nstates: z\ninitial: z\nalphabet: a\nvars: X Y\n"
+        "delta: z, _, a, _ -> z\nupdate: z, _, a, _: X := aX\n"
+        "output: {z} -> X Y\n"
+    )
+    with pytest.raises(FormatError, match="output variable 'X' must be unchanged"):
+        parse_machine_text(text)
+    path = tmp_path / "bad.sst-sf"
+    path.write_text(text)
+    assert main(["run", "-k", "4", str(path), "(a)^w"]) == 2
 
 
 def test_comments_and_blank_lines_are_skipped():

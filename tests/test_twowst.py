@@ -4,17 +4,22 @@ import pytest
 
 from omegatrans.fixtures import (
     alternating_copier_twowst,
+    mirror_corpus,
     mirror_lookahead_dma,
     mirror_sst,
     mirror_twowst,
     plain_copier_twowst,
+    random_twowst,
+    random_upword,
 )
-from omegatrans.muller import CapExceeded
 from omegatrans.sst import NotInDomain, run_output
 from omegatrans.twowst import (
+    LEFT,
+    MARK,
     RIGHT,
     STAY,
     TwoWst,
+    _WordContext,
     anchored_behavior,
     element_of_word,
     identity_element,
@@ -93,15 +98,89 @@ def test_reaches_mirror():
     assert not reaches(t, w, "q", 1, "p", 1)
 
 
-def test_step_budgets_raise_cap_exceeded():
-    t = mirror_twowst()
-    w = UPWord("ab#", "a")
-    with pytest.raises(CapExceeded, match="no traveling loop within 3 steps"):
-        run_2wst(t, w, 10, max_steps=3)
-    with pytest.raises(CapExceeded, match="no traveling loop within 3 steps"):
-        reaches(t, w, "t", 1, "t", 100, max_steps=3)
-    with pytest.raises(CapExceeded, match="crossing did not resolve within 2 steps"):
-        anchored_behavior(t, "ab#", UPWord("", "a"), max_steps=2)
+def _walk_bound(t, word, pos):
+    """The proved bound on the moves of a head walk from pos on word."""
+    ctx = _WordContext(t, word)
+    n = len(t.states)
+    return n * (max(pos, ctx.entry_pos) + n * ctx.cycle_len + 2)
+
+
+def _step_by_step(t, word, q, pos, steps):
+    """Plain simulation of an unguarded machine's head for at most steps
+    moves: (configurations, outputs, why it stopped or None)."""
+    configs = [(q, pos)]
+    seen = {(q, pos)}
+    outs = []
+    for _ in range(steps):
+        row = t.delta.get((q, None, MARK if pos == 0 else word.letter_at(pos), None))
+        if row is None:
+            return configs, outs, (
+                "stuck: no transition applies in state %r at position %d" % (q, pos))
+        q, out, move = row
+        pos += move
+        if pos < 0:
+            return configs, outs, "stuck: the head fell off the left end"
+        if (q, pos) in seen:
+            return configs, outs, (
+                "stuck: the head treads in place in state %r at position %d" % (q, pos))
+        seen.add((q, pos))
+        configs.append((q, pos))
+        outs.append(out)
+    return configs, outs, None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_walks_agree_with_step_by_step_simulation(seed):
+    """run_2wst and reaches on random machines against a plain simulation
+    run to the proved bound plus enough loops to pass the target.  A run
+    that has not ended by the bound travels: it is in its loop from then
+    on, each loop takes at most the bound and moves at least one cell
+    right, and it outputs a letter unless the output stays finite."""
+    rng = random.Random(seed)
+    k, y_max = 8, 11
+    for _ in range(50):
+        t = random_twowst(rng)
+        w = random_upword(rng, "ab", 3, 3)
+        bound = _walk_bound(t, w, 1)
+        configs, outs, why = _step_by_step(t, w, t.initial, 1, bound * (k + 2))
+        if why is not None:
+            assert len(configs) <= bound
+            with pytest.raises(NotInDomain) as err:
+                run_2wst(t, w, k)
+            assert str(err.value) == why
+        else:
+            forever = frozenset(s for s, _ in configs[bound:])
+            if forever in t.muller_sets:
+                assert run_2wst(t, w, k) == "".join(outs)[:k].ljust(k, "⊥")
+            else:
+                with pytest.raises(NotInDomain, match="not accepting") as err:
+                    run_2wst(t, w, k)
+                assert err.value.infinity_set == forever
+        for q in t.states:
+            for x in range(5):
+                configs, _, _ = _step_by_step(t, w, q, x, _walk_bound(t, w, x) * (y_max + 2))
+                for q2 in t.states:
+                    for y in range(y_max + 1):
+                        assert reaches(t, w, q, x, q2, y) == ((q2, y) in configs)
+
+
+def test_walk_moves_stay_within_the_proved_bound(monkeypatch):
+    moves = []
+    transition = _WordContext.transition
+
+    def counted(self, q, pos):
+        moves.append(pos)
+        return transition(self, q, pos)
+
+    monkeypatch.setattr(_WordContext, "transition", counted)
+    for t in (mirror_twowst(), alternating_copier_twowst(), plain_copier_twowst()):
+        for w in mirror_corpus():
+            moves.clear()
+            try:
+                run_2wst(t, w, 40)
+            except NotInDomain:
+                pass
+            assert 0 < len(moves) <= _walk_bound(t, w, 1), w
 
 
 def test_anchored_behavior_of_first_block():
@@ -132,6 +211,18 @@ def test_anchored_behavior_on_tail_context():
     blr, brr = anchored_behavior(t, "ab", UPWord("", "ab"))
     assert blr == expected
     assert brr == expected
+
+
+def test_anchored_behavior_drops_runs_that_fall_off_the_left_end():
+    # s walks left over the end marker and off the word; r copies rightward
+    delta = {
+        ("s", None, "a", None): ("s", "", LEFT),
+        ("s", None, MARK, None): ("s", "", LEFT),
+        ("r", None, "a", None): ("r", "a", RIGHT),
+    }
+    t = TwoWst("sr", "a", "s", delta, [{"r"}])
+    expected = {("r", "r"): (1,)}
+    assert anchored_behavior(t, "aa", UPWord("", "a")) == (expected, expected)
 
 
 def test_realizable_contexts_of_lookahead():
