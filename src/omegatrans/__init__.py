@@ -15,8 +15,6 @@ The ``omega-trans`` command line exposes the same operations on machine files.
 
 from .words import UPWord, parse_word, format_word, first_divergence, distance
 from .fologic import (
-    EvalConfig,
-    Unstable,
     evaluate,
     format_formula,
     parse_formula,
@@ -61,8 +59,6 @@ __all__ = [
     "format_word",
     "first_divergence",
     "distance",
-    "EvalConfig",
-    "Unstable",
     "evaluate",
     "format_formula",
     "parse_formula",

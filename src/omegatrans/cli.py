@@ -6,8 +6,9 @@ format from formats.py; words are written as PREFIX(PERIOD)^w.
 
 Exit codes: 0 success (or all-equal for compare), 1 a property failed, a
 word was rejected, or a mismatch was found, 2 usage or parse errors, 3 a
-resource limit was hit: a monoid or a construction grew past its --cap, or
-the first-order runner ran out of its window (CapExceeded).
+resource limit was hit: a monoid or a construction grew past its --cap
+(CapExceeded).  Every runner is exact and has no limit of its own, the
+first-order runner included.
 """
 
 import argparse

@@ -4,25 +4,45 @@ A word over Sigma is the structure with universe {1, 2, ...}, the order <=,
 and a unary predicate L_a per letter a.  Formulas are built from the atoms
 x = y, x <= y, x < y and L_a(x) with the usual connectives and quantifiers.
 
-Quantification over an infinite universe is made effective by bounding it:
-on an ultimately periodic word, quantifiers range over 1..H where
+Evaluation on an ultimately periodic word w = u v^omega is exact.  A
+quantifier ranges over the finite set 1..top + |u| + c_d |v|, where top is
+the largest position assigned so far (0 for a sentence), d is the quantifier
+depth of the whole formula and c_d = 2^d + 1 (``witness_margin``).
 
-    H = |prefix| + |period| * base_bound * (quantifier_depth + 1).
+Why this is enough.  Write p = |u| and q = |v|, and let Q x. phi be a
+subformula under an assignment a whose positions are at most top.  Suppose
+x > top + p + c_d q satisfies phi; we show that x - q does too, so repeated
+shifting brings some witness into range (and dually for A, through !).
+Mark each position with the set of variables that sit on it, so that
+(w, a, x) is a word over an extended alphabet.  Cut it, and (w, a, x - q),
+as
 
-The result is then re-checked with H doubled ``stability_doublings`` times;
-if the verdicts ever disagree the formula is reported as unstable rather
-than silently wrong.  For formulas whose witnesses live near the start of
-the word (everything this package ships) the defaults are exact.
+    w[1..top] . w[top+1..x-1] . w[x..]
+    w[1..top] . w[top+1..x-q-1] . w[x-q..]
 
-Known blind spot: a witness at the horizon's edge can make an inner bounded
-universal vacuously true at every horizon, e.g. "E x. A y. (x < y -> ...)"
-holds on any word under this semantics.  Such self-similar artifacts scale
-with the horizon and pass the stability check; callers deciding domain
-membership should keep their separators inside the eventually-constant part
-of the word, where evaluation is exact.
+Both x and x - q lie past u, so the two right factors are the same
+infinite word, marks included.  With r = max(top, p), both middle factors
+start with w[top+1..r] and continue inside v^omega from the same phase:
+they are s . v'^n . t and s . v'^(n-1) . t for a rotation v' of v, a
+proper prefix t of v' and n >= c_d, because x - 1 - r >= c_d q.  For FO[<]
+with k nested quantifiers, y^n and y^(n+1) satisfy the same sentences once
+n >= 2^k (Thomas, "Languages, Automata, and Logic", 1997; Straubing,
+"Finite Automata, Formal Logic, and Circuit Complexity", 1994).  Here
+k <= d - 1 and n - 1 >= 2^d, so the middle factors agree on every formula
+of depth k, and since this equivalence is a congruence for concatenation
+(an Ehrenfeucht-Fraisse game plays the three factors separately), phi holds
+at x - q exactly when it holds at x.  A range larger than the bound is
+exact as well: it only adds real positions.
+
+There is one implementation of the semantics, the numpy grid evaluator
+``bulk_evaluate``: every free variable is assigned an array of positions,
+and a quantifier adds an axis over its range.  ``evaluate`` is the same
+evaluator on a 0-d grid.
 """
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
+
+import numpy as np
 
 
 class Eq(NamedTuple):
@@ -74,21 +94,6 @@ class Forall(NamedTuple):
     body: object
 
 
-class EvalConfig(NamedTuple):
-    """Knobs for bounded evaluation; see the module docstring."""
-
-    base_bound: int = 4
-    stability_doublings: int = 2
-    fixed_horizon: Optional[int] = None
-
-
-DEFAULT_CONFIG = EvalConfig()
-
-
-class Unstable(Exception):
-    """Raised when doubling the horizon flips the verdict of a formula."""
-
-
 def quantifier_depth(f):
     if isinstance(f, (Eq, Leq, Less, Label)):
         return 0
@@ -115,73 +120,84 @@ def free_variables(f):
     raise TypeError("not a formula: %r" % (f,))
 
 
-def horizon_for(f, word, config=DEFAULT_CONFIG):
-    """The base quantifier bound H for f on the given word."""
-    if config.fixed_horizon is not None:
-        return config.fixed_horizon
-    d = quantifier_depth(f)
-    return len(word.prefix) + len(word.period) * config.base_bound * (d + 1)
+def witness_margin(f, word):
+    """|u| + (2^d + 1)|v| for f of quantifier depth d on u v^omega.
+
+    A quantifier of f under positions at most top needs to range only over
+    1..top + witness_margin(f, word); the module docstring proves it.
+    """
+    return len(word.prefix) + (2 ** quantifier_depth(f) + 1) * len(word.period)
 
 
-def evaluate_at(f, word, assignment, horizon):
-    """Evaluate with quantifiers ranging over 1..horizon.  No stability check."""
+class _Word:
+    """Letter lookup at arbitrary positions of u v^omega, for whole arrays."""
+
+    def __init__(self, word):
+        self.p = len(word.prefix)
+        self.q = len(word.period)
+        self.codes = np.array([ord(a) for a in word.prefix + word.period])
+
+    def has(self, letter, pos):
+        p = self.p
+        index = np.where(pos <= p, pos - 1, p + (pos - p - 1) % self.q)
+        return self.codes[index] == ord(letter)
+
+
+def _grid(f, word, env, margin):
     if isinstance(f, Eq):
-        return assignment[f.x] == assignment[f.y]
+        return env[f.x] == env[f.y]
     if isinstance(f, Leq):
-        return assignment[f.x] <= assignment[f.y]
+        return env[f.x] <= env[f.y]
     if isinstance(f, Less):
-        return assignment[f.x] < assignment[f.y]
+        return env[f.x] < env[f.y]
     if isinstance(f, Label):
-        return word.letter_at(assignment[f.x]) == f.letter
+        return word.has(f.letter, env[f.x])
     if isinstance(f, Not):
-        return not evaluate_at(f.body, word, assignment, horizon)
+        return ~_grid(f.body, word, env, margin)
     if isinstance(f, And):
-        return evaluate_at(f.left, word, assignment, horizon) and evaluate_at(
-            f.right, word, assignment, horizon
-        )
+        return _grid(f.left, word, env, margin) & _grid(f.right, word, env, margin)
     if isinstance(f, Or):
-        return evaluate_at(f.left, word, assignment, horizon) or evaluate_at(
-            f.right, word, assignment, horizon
-        )
+        return _grid(f.left, word, env, margin) | _grid(f.right, word, env, margin)
     if isinstance(f, Implies):
-        return (not evaluate_at(f.left, word, assignment, horizon)) or evaluate_at(
-            f.right, word, assignment, horizon
-        )
-    if isinstance(f, Exists):
-        inner = dict(assignment)
-        for i in range(1, horizon + 1):
-            inner[f.var] = i
-            if evaluate_at(f.body, word, inner, horizon):
-                return True
-        return False
-    if isinstance(f, Forall):
-        inner = dict(assignment)
-        for i in range(1, horizon + 1):
-            inner[f.var] = i
-            if not evaluate_at(f.body, word, inner, horizon):
-                return False
-        return True
+        return ~_grid(f.left, word, env, margin) | _grid(f.right, word, env, margin)
+    if isinstance(f, (Exists, Forall)):
+        top = max((int(a.max()) for a in env.values()), default=0)
+        inner = {v: a[..., np.newaxis] for v, a in env.items()}
+        inner[f.var] = np.arange(1, top + margin + 1)
+        body = _grid(f.body, word, inner, margin)
+        if isinstance(f, Exists):
+            return body.any(axis=-1)
+        return body.all(axis=-1)
     raise TypeError("not a formula: %r" % (f,))
 
 
-def evaluate(f, word, assignment=None, config=DEFAULT_CONFIG):
-    """Evaluate f on the word under the assignment, with a stability check.
-
-    assignment maps free variables to 1-based positions (may reach beyond the
-    horizon; only quantified variables are bounded).  Raises Unstable if the
-    verdict changes while the horizon doubles.
-    """
-    assignment = assignment or {}
-    missing = free_variables(f) - set(assignment)
+# evaluate and bulk_evaluate share this body instead of one calling the
+# other, so that a trace of bulk_evaluate sees only the grid evaluations.
+def _evaluate(f, word, env):
+    missing = free_variables(f) - set(env)
     if missing:
         raise ValueError("unassigned free variables: %s" % sorted(missing))
-    h = horizon_for(f, word, config)
-    verdict = evaluate_at(f, word, assignment, h)
-    for _ in range(config.stability_doublings):
-        h *= 2
-        if evaluate_at(f, word, assignment, h) != verdict:
-            raise Unstable("verdict flipped at horizon %d for %s" % (h, format_formula(f)))
-    return verdict
+    env = {v: np.asarray(a, dtype=np.int64) for v, a in env.items()}
+    return np.asarray(_grid(f, _Word(word), env, witness_margin(f, word)), dtype=bool)
+
+
+def bulk_evaluate(f, word, env):
+    """Evaluate f on a whole grid of assignments at once.
+
+    env maps each free variable to an integer array of 1-based positions;
+    the arrays broadcast against each other and the result is a bool array
+    of the broadcast shape.
+    """
+    return _evaluate(f, word, env)
+
+
+def evaluate(f, word, assignment=None):
+    """Whether f holds on the word under the assignment.
+
+    assignment maps the free variables to 1-based positions, which may lie
+    anywhere in the word.
+    """
+    return bool(_evaluate(f, word, assignment or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +389,7 @@ def reaches_letter(x, letter, y="_r"):
 def is_string():
     """The order axioms picking out string-like models.
 
-    Finite-horizon evaluation cannot certify these on an infinite word (the
-    successor axiom keeps failing at the horizon's edge); the sentence is
-    provided for completeness and for finite reasoning, and its quantifier
-    depth (4) is pinned by tests.
+    Its quantifier depth (4) is pinned by tests.
     """
     x, y, yp, z = "x", "y", "_y2", "_z"
     succ = And(strictly_before(x, y), Not(Exists(z, between_positions(x, y, z))))

@@ -4,38 +4,78 @@ A machine consists of a domain sentence, a finite tuple of copies, one
 label formula per (copy, output letter) with free variable x, and one
 order formula per ordered pair of copies with free variables x and y.
 On an input word the output nodes are the labeled (copy, position)
-pairs; the order formulas generate edges between nodes, and the output
-string reads the labels along the unique linearization of those edges.
+pairs, and the order formulas give edges between them.  The output is
+string-shaped when removing the one node that no remaining node has an
+edge to, again and again, removes every node (Kahn's algorithm); the
+output string reads the labels in that order.  Equivalently, the nodes
+can be listed so that every edge points forward and consecutive nodes
+are joined by an edge.
 
-Execution is windowed.  Nodes are materialized for input positions
-1..W, the unique minimal node is removed repeatedly (Kahn's algorithm),
-and W doubles until two consecutive windows agree on the requested
-prefix.  Formula evaluation over the window runs on numpy grids, with
-the same horizon-doubling stability check as the scalar evaluator.
+Running is exact.  On w = u v^omega write p = |u|, q = |v|, d for the
+largest quantifier depth of a label or order formula, c = 2^d + 1,
+G = p + c q, and sigma for the shift (e, x) -> (e, x + q).  A node is far
+when its position is past G, and m counts the nodes at positions
+G+1..G+q.  The shift argument of ``fologic`` gives three facts:
+
+(L) a label formula has the same truth at x and x - q once x > G, so
+    sigma maps the far nodes onto the nodes past G + q;
+(S) an order formula has the same truth at (x, y) and (x - q, y - q) once
+    x, y > G, so sigma keeps the edges between far nodes;
+(P) it has the same truth at (x, y) and (x, y - q) once
+    y > max(x, p) + c q, and likewise with the roles of x and y swapped.
+
+If m = 0 no node lies past G, and Kahn's algorithm runs on a finite
+graph; the output is finite and padded with ``sst.PAD``.  Otherwise:
+
+1. In-edges.  If the output is string-shaped, every edge into a node n
+   starts at most c q past max(n, p): an edge from farther repeats by (P)
+   from infinitely many nodes, and n would never be removed.
+2. Each removal is exact.  Let R = max(G, the furthest removed position);
+   every node past R is still there.  A node y past R + (c+2) q has no
+   edge from a remaining node exactly when sigma^-1 y has none: use (P)
+   for sources up to R + q and (S) for sources beyond, which remain
+   together with their shift.  So the minimal nodes past R + (c+1) q come
+   in whole sigma-orbits, and a node that is the only minimal one up to
+   R + (c+3) q is the only one anywhere.  Edges into y from past
+   max(y, p) + c q repeat every period by (P), so if there is one, there
+   is one from the period after max(R, y + c q, p + c q), whose nodes
+   remain.  Hence sources up to R + (2c+4) q decide minimality up to
+   R + (c+3) q.
+3. The period.  Suppose that after i removals every node up to G is gone,
+   and that the nodes removed after i + m are those up to G + q plus
+   sigma of the far nodes removed after i.  Then the remaining graph at
+   i + m is sigma of the one at i; by (S) and (L) sigma is an isomorphism
+   that keeps labels, so the removals from i + m on repeat those from i
+   shifted by q.  The output is prefix . block^omega: the first i labels,
+   then the next m forever.
+4. The window.  Let the output be string-shaped, a < b when a is removed
+   before b, and M = m c q.
+   (i) y < a implies y <= max(a, G) + M.  Take y of largest position with
+   y < a and the chain of consecutive nodes from y to a.  Up to its first
+   node at or before L = max(a, G) it is a run of far nodes that moves
+   left at most c q per step (step 1) and ends within L + c q.  Each new
+   leftmost node of the run is the first of its (copy, position mod q)
+   class on the run: an earlier sigma^j x would give, by (S), the
+   descending chain ... < sigma^2j x < sigma^j x < x.  So the run has at
+   most m new minima, and y <= L + M.
+   (ii) Let the rank of a node count the nodes before it.  By (i) no node
+   up to G comes after a node past G + M, so the chain between two nodes
+   past G + M stays far and sigma keeps their order; every node past
+   G + 2M comes after every node up to G + M; and for x past G + 2M the
+   rank of sigma x is the rank of x plus m.  Let i be one more than the
+   rank of the last node at or before G + 2M.  Every later node lies past
+   G + 2M, so the node of rank r + m is sigma of the node of rank r for
+   r >= i, and step 3 applies at i.  By (i) every node removed in the
+   first i + m steps lies within G + 3M + q.
+   Hence a window of G + 3M + q + (2c+4) q positions decides every case:
+   if removal is not unique within it, or R passes G + 3M + q before the
+   period of step 3 shows, the output is not string-shaped.
 """
 
 import numpy as np
 
-from .fologic import (
-    DEFAULT_CONFIG,
-    Eq,
-    Exists,
-    Forall,
-    Implies,
-    Label,
-    Leq,
-    Less,
-    Not,
-    And,
-    Or,
-    Unstable,
-    evaluate,
-    format_formula,
-    free_variables,
-    horizon_for,
-)
-from .muller import CapExceeded
-from .sst import NotInDomain
+from .fologic import bulk_evaluate, evaluate, free_variables, quantifier_depth
+from .sst import PAD, NotInDomain
 
 
 class Fot:
@@ -82,18 +122,18 @@ class Fot:
         return sorted({letter for _, letter in self.labels})
 
 
-def fot_domain(t, word, config=DEFAULT_CONFIG):
+def fot_domain(t, word):
     """Whether the word satisfies the domain sentence."""
-    return evaluate(t.domain, word, {}, config)
+    return evaluate(t.domain, word, {})
 
 
-def node_label(t, word, copy, pos, config=DEFAULT_CONFIG):
+def node_label(t, word, copy, pos):
     """The output letter of the node at (copy, pos), or None if unlabeled."""
     found = None
     for (c, letter), f in sorted(t.labels.items(), key=lambda kv: str(kv[0])):
         if c != copy:
             continue
-        if evaluate(f, word, {"x": pos}, config):
+        if evaluate(f, word, {"x": pos}):
             if found is not None:
                 raise ValueError(
                     "copy %r position %d carries ambiguous labels %r and %r"
@@ -103,92 +143,20 @@ def node_label(t, word, copy, pos, config=DEFAULT_CONFIG):
     return found
 
 
-# ---------------------------------------------------------------------------
-# Bulk evaluation on numpy grids.
-# ---------------------------------------------------------------------------
-
-
-def _letters_array(word, n):
-    return np.array([word.letter_at(i) for i in range(1, n + 1)], dtype=object)
-
-
-def _bulk_at(f, letters, env, horizon):
-    if isinstance(f, Eq):
-        return env[f.x] == env[f.y]
-    if isinstance(f, Leq):
-        return env[f.x] <= env[f.y]
-    if isinstance(f, Less):
-        return env[f.x] < env[f.y]
-    if isinstance(f, Label):
-        return letters[env[f.x] - 1] == f.letter
-    if isinstance(f, Not):
-        return ~_bulk_at(f.body, letters, env, horizon)
-    if isinstance(f, And):
-        return _bulk_at(f.left, letters, env, horizon) & _bulk_at(
-            f.right, letters, env, horizon
-        )
-    if isinstance(f, Or):
-        return _bulk_at(f.left, letters, env, horizon) | _bulk_at(
-            f.right, letters, env, horizon
-        )
-    if isinstance(f, Implies):
-        return ~_bulk_at(f.left, letters, env, horizon) | _bulk_at(
-            f.right, letters, env, horizon
-        )
-    if isinstance(f, (Exists, Forall)):
-        inner = {v: a[..., np.newaxis] for v, a in env.items()}
-        inner[f.var] = np.arange(1, horizon + 1)
-        body = _bulk_at(f.body, letters, inner, horizon)
-        if isinstance(f, Exists):
-            return body.any(axis=-1)
-        return body.all(axis=-1)
-    raise TypeError("not a formula: %r" % (f,))
-
-
-def bulk_evaluate(f, word, env, config=DEFAULT_CONFIG):
-    """Evaluate f on a whole grid of assignments at once.
-
-    env maps each free variable to an integer array of 1-based positions;
-    the arrays broadcast against each other and the result has the
-    broadcast shape.  Stability is checked exactly like the scalar
-    evaluator: the verdict grid must survive doubling the horizon.
-    """
-    missing = free_variables(f) - set(env)
-    if missing:
-        raise ValueError("unassigned free variables: %s" % sorted(missing))
-    h = horizon_for(f, word, config)
-    top = h * (2 ** config.stability_doublings)
-    widest = max([top] + [int(a.max()) for a in env.values() if a.size])
-    letters = _letters_array(word, widest)
-    verdict = np.asarray(_bulk_at(f, letters, env, h))
-    for _ in range(config.stability_doublings):
-        h *= 2
-        if not np.array_equal(np.asarray(_bulk_at(f, letters, env, h)), verdict):
-            raise Unstable(
-                "verdict flipped at horizon %d for %s" % (h, format_formula(f))
-            )
-    return verdict
-
-
-# ---------------------------------------------------------------------------
-# Windowed output extraction.
-# ---------------------------------------------------------------------------
-
-
-def _label_grid(t, word, window, config):
-    """Per copy, the array of output letters for positions 1..window.
+def _label_rows(t, word, n):
+    """Per copy, the array of output letters for positions 1..n.
 
     Unlabeled positions hold the empty string.  Raises ValueError if two
     label formulas of one copy hit the same position.
     """
-    pos = np.arange(1, window + 1)
-    grid = {}
+    pos = np.arange(1, n + 1)
+    rows = {}
     for c in t.copies:
-        lab = np.full(window, "", dtype=object)
+        lab = np.full(n, "", dtype=object)
         for (cc, letter), f in sorted(t.labels.items(), key=lambda kv: str(kv[0])):
             if cc != c:
                 continue
-            hit = np.asarray(bulk_evaluate(f, word, {"x": pos}, config), dtype=bool)
+            hit = bulk_evaluate(f, word, {"x": pos})
             clash = hit & (lab != "")
             if clash.any():
                 i = int(pos[clash][0])
@@ -197,95 +165,98 @@ def _label_grid(t, word, window, config):
                     % (c, i, lab[clash][0], letter)
                 )
             lab[hit] = letter
-        grid[c] = lab
-    return grid
+        rows[c] = lab
+    return rows
 
 
-def _topo_prefix(m, want):
-    """Pop unique minimal nodes from the edge matrix, up to want of them.
+def _output_lasso(t, word):
+    """The output on the word as (prefix, block): prefix . block^omega.
 
-    Returns (kind, indexes) where kind is "ok" (want nodes emitted),
-    "short" (nodes ran out first) or "split" (the next minimal node is
-    not unique, which also covers cycles).
+    An empty block means the output is finite.  Raises ValueError when the
+    output is not string-shaped.  The module docstring proves the window.
     """
-    n = m.shape[0]
+    p, q = len(word.prefix), len(word.period)
+    formulas = list(t.labels.values()) + list(t.order.values())
+    c = 2 ** max(quantifier_depth(f) for f in formulas) + 1
+    G = p + c * q
+    rows = _label_rows(t, word, G + q)
+    m = sum(int((rows[a][G:] != "").sum()) for a in t.copies)
+    limit = G + 3 * m * c * q + q
+    window = limit + (2 * c + 4) * q
+
+    # The nodes of the window, copy by copy; labels repeat past G (L).
+    pos, owner, letters, spans = [], [], [], {}
+    for a in t.copies:
+        row = np.concatenate([rows[a], np.resize(rows[a][G:], window - G - q)])
+        xs = np.flatnonzero(row != "") + 1
+        spans[a] = slice(len(pos), len(pos) + len(xs))
+        pos.extend(xs)
+        owner.extend([a] * len(xs))
+        letters.extend(row[xs - 1])
+    pos = np.array(pos, dtype=np.int64)
+    n = len(pos)
+    edge = np.zeros((n, n), dtype=bool)
+    for a in t.copies:
+        for b in t.copies:
+            xs, ys = pos[spans[a]], pos[spans[b]]
+            if xs.size and ys.size:
+                edge[spans[a], spans[b]] = bulk_evaluate(
+                    t.order[(a, b)], word, {"x": xs[:, None], "y": ys[None, :]}
+                )
+    np.fill_diagonal(edge, False)
+
+    index = {(owner[i], int(pos[i])): i for i in range(n)}
+    shifted = np.array([index.get((owner[i], int(pos[i]) + q), -1) for i in range(n)])
+    near, first, far = pos <= G, pos <= G + q, pos > G
     alive = np.ones(n, dtype=bool)
-    indeg = m.sum(axis=0)
-    out = []
-    while len(out) < want:
-        if not alive.any():
-            return "short", out
-        zero = alive & (indeg == 0)
-        if int(zero.sum()) != 1:
-            return "split", out
-        u = int(np.flatnonzero(zero)[0])
-        out.append(u)
-        alive[u] = False
-        indeg = indeg - m[u]
-    return "ok", out
-
-
-def _prefix_at_window(t, word, k, window, config):
-    grid = _label_grid(t, word, window, config)
-    nodes = []
-    spans = {}
-    positions = {}
-    for c in t.copies:
-        idx = np.flatnonzero(grid[c] != "")
-        spans[c] = (len(nodes), len(nodes) + len(idx))
-        positions[c] = idx + 1
-        nodes.extend((c, int(i) + 1) for i in idx)
-    if not nodes:
-        return "short", ""
-    m = np.zeros((len(nodes), len(nodes)), dtype=bool)
-    for c in t.copies:
-        xs = positions[c]
-        if not xs.size:
-            continue
-        for d in t.copies:
-            ys = positions[d]
-            if not ys.size:
-                continue
-            g = bulk_evaluate(
-                t.order[(c, d)], word, {"x": xs[:, None], "y": ys[None, :]}, config
+    indeg = edge.sum(axis=0)
+    rank = np.full(n, n)
+    order = []
+    reach = G
+    while alive.any():
+        # Step 2: the only minimal node up to reach + (c+3) q is the only one.
+        hits = np.flatnonzero(alive & (indeg == 0) & (pos <= reach + (c + 3) * q))
+        if len(hits) != 1:
+            raise ValueError(
+                "not string-shaped: the order formulas do not single out a "
+                "unique next output node after %d nodes" % len(order)
             )
-            m[spans[c][0] : spans[c][1], spans[d][0] : spans[d][1]] = g
-    np.fill_diagonal(m, False)
-    kind, seq = _topo_prefix(m, k)
-    letters = np.concatenate([grid[c][positions[c] - 1] for c in t.copies])
-    return kind, "".join(letters[u] for u in seq)
+        u = hits[0]
+        rank[u] = len(order)
+        order.append(u)
+        alive[u] = False
+        indeg -= edge[u]
+        reach = max(reach, int(pos[u]))
+        # Step 3: the removals after i repeat from i + m, shifted by q.  Both
+        # sides of its set equation have i + m nodes, so containment is enough.
+        i = len(order) - m
+        if m and i >= 0 and (rank[near] < i).all() and not alive[first].any():
+            if (rank[shifted[far & (rank < i)]] < n).all():
+                text = "".join(letters[j] for j in order)
+                return text[:i], text[i:]
+        if reach > limit:
+            raise ValueError(
+                "not string-shaped: the output order does not repeat with the "
+                "input period by position %d" % limit
+            )
+    return "".join(letters[j] for j in order), ""
 
 
-def run_fot(t, word, k, window=None, max_window=4096, config=DEFAULT_CONFIG):
+def run_fot(t, word, k):
     """The first k output letters of the transducer on the word.
 
-    The position window starts near k and doubles until two consecutive
-    windows agree on the prefix.  Raises NotInDomain if the domain
-    sentence fails, ValueError if the order never singles out a unique
-    next node ("not string-shaped"), and CapExceeded if no stable prefix
-    emerges within max_window.
+    The output is exact: ``_output_lasso`` describes it once per word, and
+    the k letters are sliced off, padded with ``sst.PAD`` when the output
+    is finite.  Raises NotInDomain if the domain sentence fails, and
+    ValueError if the output is not string-shaped or a position carries
+    two labels of one copy.
     """
     if k <= 0:
         return ""
-    if not fot_domain(t, word, config):
+    if not fot_domain(t, word):
         raise NotInDomain(frozenset(), "rejected: the domain sentence is false")
-    w = window or max(16, 1 << (k - 1).bit_length())
-    prev = None
-    kind = "short"
-    while w <= max_window:
-        kind, s = _prefix_at_window(t, word, k, w, config)
-        if kind == "ok":
-            if s == prev:
-                return s
-            prev = s
-        else:
-            prev = None
-        w *= 2
-    if kind == "split":
-        raise ValueError(
-            "not string-shaped: the order formulas do not single out a unique "
-            "next output node (window %d)" % (w // 2)
-        )
-    raise CapExceeded(
-        "window exhausted: no stable %d-letter prefix within window %d" % (k, w // 2)
-    )
+    prefix, block = _output_lasso(t, word)
+    if not block:
+        return prefix[:k].ljust(k, PAD)
+    reps = max(0, k - len(prefix)) // len(block) + 1
+    return (prefix + block * reps)[:k]

@@ -315,8 +315,7 @@ def matrix_of_word_direct(dma, factor):
 
 
 class CapExceeded(Exception):
-    """A resource limit was hit: a monoid or construction cap, or the
-    window of the first-order runner."""
+    """A resource limit was hit: a monoid or construction cap."""
 
 
 class Monoid:

@@ -28,7 +28,7 @@ from omegatrans.twowst import (
     run_2wst,
 )
 from omegatrans.fot import run_fot
-from omegatrans.fologic import Unstable, evaluate
+from omegatrans.fologic import evaluate
 from omegatrans.constructions import (
     eliminate_lookaround,
     pipeline_output,
@@ -279,29 +279,49 @@ def test_c11_lookaround_pipeline_is_sound_and_aperiodic():
     assert elapsed < 120.0, elapsed
 
 
+def mirror_formula_meaning(w, key, x, y):
+    """What each formula of mirror_fot says, read off the separator
+    positions, which all lie in the prefix of a corpus word."""
+    seps = [i + 1 for i, a in enumerate(w.prefix) if a == "#"]
+    reach = any(s > x for s in seps)
+    letter = w.letter_at(x)
+    if key == "dom":
+        return "#" not in w.period
+    kind, a, b = key
+    if kind == "label":
+        if a in (1, 2):
+            return letter == b and letter != "#" and reach
+        return letter == b and (letter == "#" or not reach)
+    btw = any(min(x, y) < s < max(x, y) for s in seps)
+    xsep, ysep = letter == "#", w.letter_at(y) == "#"
+    return {
+        (1, 1): x < y,
+        (3, 3): x < y,
+        (2, 2): (x < y) if btw else (y < x),
+        (1, 3): ysep and x < y,
+        (2, 3): ysep and x < y,
+        (3, 1): xsep and x < y,
+        (3, 2): xsep and x < y,
+        (1, 2): x < y and btw,
+        (2, 1): (x < y and btw) or (not btw and y <= x),
+    }[(a, b)]
+
+
 def test_c12_logical_formulas_evaluate_stably_on_the_corpus():
     t0 = time.perf_counter()
     f = mirror_fot()
     corpus = mirror_corpus()
-    unstable = []
+    wrong = []
     for w in corpus:
-        try:
-            evaluate(f.domain, w, {})
-        except Unstable:
-            unstable.append(("dom", w))
-        for key, phi in f.labels.items():
-            for x in range(1, 5):
-                try:
-                    evaluate(phi, w, {"x": x})
-                except Unstable:
-                    unstable.append((key, x, w))
-        for key, phi in f.order.items():
-            for x in range(1, 5):
-                for y in range(1, 5):
-                    try:
-                        evaluate(phi, w, {"x": x, "y": y})
-                    except Unstable:
-                        unstable.append((key, x, y, w))
-    assert unstable == []
+        cells = [("dom", f.domain, {})]
+        cells += [(("label",) + key, phi, {"x": x})
+                  for key, phi in f.labels.items() for x in range(1, 5)]
+        cells += [(("order",) + key, phi, {"x": x, "y": y})
+                  for key, phi in f.order.items() for x in range(1, 5) for y in range(1, 5)]
+        for key, phi, env in cells:
+            want = mirror_formula_meaning(w, key, env.get("x", 1), env.get("y", 1))
+            if evaluate(phi, w, env) != want:
+                wrong.append((key, env, w))
+    assert wrong == []
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, elapsed

@@ -23,6 +23,16 @@ def test_run_reports_rejection(capsys):
     assert "rejected" in capsys.readouterr().out
 
 
+def test_fot_run_rejects_words_with_infinitely_many_separators(capsys):
+    for word in ("(a#)^w", "(#)^w"):
+        assert main(["run", "-k", "8", F1_FOT, word]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("rejected: "), word
+        assert captured.err == ""
+        assert main(["run", "-k", "8", F1_SST, word]) == 1
+        capsys.readouterr()
+
+
 def test_compare_writes_a_tsv_report(capsys, tmp_path):
     report = tmp_path / "report.tsv"
     rc = main(["compare", F1_2WST, F1_FOT, "--corpus", CORPUS, "-k", "60",
@@ -148,13 +158,14 @@ def test_construction_caps_exit_3(tmp_path, capsys):
     ]
 
 
-def test_runner_limits_exit_3(capsys):
-    assert main(["run", "-k", "2100", F1_FOT, "(a)^w"]) == 3
+def test_fot_run_at_k_2100_prints_what_the_sst_prints(capsys):
+    assert main(["run", "-k", "2100", F1_SST, "(a)^w"]) == 0
+    want = capsys.readouterr().out
+    assert want == "a" * 2100 + "\n"
+    assert main(["run", "-k", "2100", F1_FOT, "(a)^w"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: window exhausted: no stable 2100-letter prefix within window 4096"
-    ]
+    assert captured.out == want
+    assert captured.err == ""
 
 
 def test_usage_and_parse_errors_exit_2(capsys):

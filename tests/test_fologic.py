@@ -1,17 +1,18 @@
-import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegatrans.words import UPWord
 from omegatrans import fologic as fo
+from omegatrans.fixtures import random_upword
 
 
-# Reference evaluator: brute-force over explicit assignments on a finite
-# universe, structured around satisfying-assignment sets instead of recursion
-# on a single assignment.  Used only as an oracle.
-def naive_eval(f, letters, assignment):
-    n = len(letters)
+# Reference evaluator: plain recursion on one assignment, with every
+# quantifier ranging over four times the proved bound.  Used only as an
+# oracle for the grid evaluator.
+def ref_eval(f, w, env):
+    margin = fo.witness_margin(f, w)
 
     def sat(f, env):
         if isinstance(f, fo.Eq):
@@ -21,7 +22,7 @@ def naive_eval(f, letters, assignment):
         if isinstance(f, fo.Less):
             return env[f.x] < env[f.y]
         if isinstance(f, fo.Label):
-            return letters[env[f.x] - 1] == f.letter
+            return w.letter_at(env[f.x]) == f.letter
         if isinstance(f, fo.Not):
             return not sat(f.body, env)
         if isinstance(f, fo.And):
@@ -31,15 +32,13 @@ def naive_eval(f, letters, assignment):
         if isinstance(f, fo.Implies):
             return sat(f.right, env) if sat(f.left, env) else True
         if isinstance(f, (fo.Exists, fo.Forall)):
-            hits = []
-            for i in range(1, n + 1):
-                env2 = dict(env)
-                env2[f.var] = i
-                hits.append(sat(f.body, env2))
+            top = max(env.values(), default=0)
+            hits = (sat(f.body, dict(env, **{f.var: i}))
+                    for i in range(1, 4 * (top + margin) + 1))
             return any(hits) if isinstance(f, fo.Exists) else all(hits)
         raise TypeError(f)
 
-    return sat(f, assignment)
+    return sat(f, env)
 
 
 def test_parse_basics():
@@ -113,32 +112,37 @@ def test_domain_sentence_finitely_many_separators():
     assert fo.evaluate(dom, UPWord("", "b"))
 
 
-def test_edge_witness_artifact_is_stable():
-    # Bounded quantification has a known blind spot: an existential witness at
-    # the horizon's edge makes an inner universal vacuous, and the artifact
-    # scales with the horizon, so stability checking cannot flag it.  On a word
-    # with infinitely many #s the finitely-many-# sentence therefore still
-    # holds.  Pinned here so the limitation stays visible.
+def test_edge_witness_artifact_is_gone():
+    # Bounded quantification once accepted the finitely-many-# sentence on a
+    # word with infinitely many #s: a witness at the horizon's edge made the
+    # inner universal vacuous at every horizon.
     dom = fo.parse_formula("E x. (A y. (x < y -> !L#(y)))")
-    assert fo.evaluate(dom, UPWord("", "ab#"))
+    assert not fo.evaluate(dom, UPWord("", "ab#"))
+    always_a = fo.parse_formula("E x. A y. (x < y -> La(y))")
+    assert not fo.evaluate(always_a, UPWord("", "b"))
+    assert not fo.evaluate(always_a, UPWord("a", "b"))
+    assert fo.evaluate(always_a, UPWord("b", "a"))
 
 
-def test_unstable_detection():
-    # "the letter at the largest visible position is a" flips with the horizon
+def test_last_position_formula_is_false():
+    # "the letter at the largest position is a": an infinite word has no
+    # largest position
     f = fo.parse_formula("E x. ((A y. y <= x) & La(x))")
-    cfg = fo.EvalConfig(fixed_horizon=1)
-    with pytest.raises(fo.Unstable):
-        fo.evaluate(f, UPWord("", "ab"), config=cfg)
-    # on a constant word the same formula is stable
-    assert fo.evaluate(f, UPWord("", "a"), config=cfg)
+    assert not fo.evaluate(f, UPWord("", "ab"))
+    assert not fo.evaluate(f, UPWord("", "a"))
 
 
-def test_horizon_formula():
+def test_witness_margin():
     w = UPWord("ab#", "ba")
     f = fo.parse_formula("E x. A y. x <= y")
-    # |prefix| + |period| * base_bound * (depth+1) = 3 + 2*4*3
-    assert fo.horizon_for(f, w) == 27
-    assert fo.horizon_for(f, w, fo.EvalConfig(fixed_horizon=9)) == 9
+    # |prefix| + (2^depth + 1) * |period| = 3 + 5*2
+    assert fo.witness_margin(f, w) == 13
+    assert fo.witness_margin(fo.parse_formula("x < y"), w) == 3 + 2 * 2
+
+
+def test_is_string_holds_on_infinite_words():
+    assert fo.evaluate(fo.is_string(), UPWord("", "a"))
+    assert fo.evaluate(fo.is_string(), UPWord("a#", "b"))
 
 
 variables = st.sampled_from(["x", "y", "z"])
@@ -170,16 +174,49 @@ def test_format_parse_roundtrip(f):
     assert fo.parse_formula(fo.format_formula(f)) == f
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 @given(
     formulas(2),
-    st.text(alphabet="ab#", min_size=1, max_size=5),
+    st.text(alphabet="ab#", max_size=2),
+    st.text(alphabet="ab#", min_size=1, max_size=2),
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=1, max_value=5),
 )
-def test_bounded_eval_matches_naive(f, letters, px, py, pz):
-    n = len(letters)
-    env = {"x": min(px, n), "y": min(py, n), "z": min(pz, n)}
-    w = UPWord(letters, letters)  # any word agreeing on the first n letters
-    assert fo.evaluate_at(f, w, env, n) == naive_eval(f, letters, env)
+def test_bounded_eval_matches_naive(f, prefix, period, px, py, pz):
+    w = UPWord(prefix, period)
+    env = {"x": px, "y": py, "z": pz}
+    assert fo.evaluate(f, w, env) == ref_eval(f, w, env)
+
+
+def test_closed_form_families_on_random_words():
+    infinitely_many = fo.parse_formula("A x. E y. (x < y & La(y))")
+    eventually_always = fo.parse_formula("E x. A y. (x < y -> La(y))")
+    last = fo.parse_formula("E x. (La(x) & (A y. (x < y -> !La(y))))")
+    rng = random.Random(7)
+    for _ in range(300):
+        w = random_upword(rng, "ab", max_prefix=4, max_period=3)
+        assert fo.evaluate(infinitely_many, w) == ("a" in w.period), w
+        assert fo.evaluate(eventually_always, w) == (set(w.period) == {"a"}), w
+        assert fo.evaluate(last, w) == ("a" in w.prefix and "a" not in w.period), w
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    formulas(1),
+    st.text(alphabet="ab#", max_size=2),
+    st.text(alphabet="ab#", min_size=1, max_size=2),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+)
+def test_witness_past_the_margin_shifts_back_one_period(body, prefix, period, py, pz):
+    # The shift lemma behind the bound: past top + margin, a witness for x
+    # is a witness exactly when x - |period| is.
+    w = UPWord(prefix, period)
+    f = fo.Exists("x", body)
+    start = max(py, pz) + fo.witness_margin(f, w) + 1
+    env = {"y": py, "z": pz}
+    for x in range(start, start + 2 * len(w.period)):
+        here = ref_eval(body, w, dict(env, x=x))
+        back = ref_eval(body, w, dict(env, x=x - len(w.period)))
+        assert here == back

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from omegatrans.fixtures import mirror_fot, mirror_sst, mirror_twowst
+from omegatrans.fixtures import mirror_corpus, mirror_fot, mirror_sst, mirror_twowst
 from omegatrans.fologic import evaluate, parse_formula
 from omegatrans.fot import Fot, bulk_evaluate, fot_domain, node_label, run_fot
-from omegatrans.muller import CapExceeded
-from omegatrans.sst import run_output
+from omegatrans.sst import PAD, run_output
 from omegatrans.twowst import run_2wst
 from omegatrans.words import UPWord
 
@@ -30,11 +29,9 @@ def test_domain_is_eventually_separator_free():
     assert fot_domain(t, UPWord("ab#", "a"))
     assert fot_domain(t, UPWord("", "b"))
     assert fot_domain(t, UPWord("ba#ab#a#", "ba"))
-    # Bounded evaluation cannot refute the domain sentence on a word whose
-    # period keeps producing separators: the last in-horizon position is a
-    # vacuous witness at every horizon, so the word is accepted.  Kept as a
-    # regression marker for that documented blind spot.
-    assert fot_domain(t, UPWord("", "a#"))
+    # the period keeps producing separators
+    assert not fot_domain(t, UPWord("", "a#"))
+    assert not fot_domain(t, UPWord("ab", "#"))
 
 
 def test_node_labels_on_sample_word():
@@ -58,7 +55,7 @@ def test_ambiguous_labels_raise():
     with pytest.raises(ValueError, match="ambiguous"):
         node_label(amb, w, 1, 1)
     with pytest.raises(ValueError, match="ambiguous"):
-        run_fot(amb, w, 5, max_window=32)
+        run_fot(amb, w, 5)
 
 
 def test_run_mirror_frozen_prefixes():
@@ -107,17 +104,59 @@ def test_not_string_shaped_when_order_is_empty():
         {(c, d): parse_formula("x < y & y < x") for c in (1, 2) for d in (1, 2)},
         copies=(1, 2),
     )
-    with pytest.raises(ValueError, match="not string-shaped"):
-        run_fot(flat, UPWord("", "a"), 5, max_window=64)
+    with pytest.raises(ValueError, match="not string-shaped: .* unique next output node"):
+        run_fot(flat, UPWord("", "a"), 5)
 
 
-def test_window_exhausted_when_output_is_finite():
+def test_finite_output_is_padded():
     one = tiny_fot(
         {(1, "a"): parse_formula("La(x) & !(E y. (y < x))")},
         {(1, 1): parse_formula("x < y")},
     )
-    with pytest.raises(CapExceeded, match="window exhausted"):
-        run_fot(one, UPWord("", "a"), 5, max_window=64)
+    assert run_fot(one, UPWord("", "a"), 5) == "a" + PAD * 4
+
+
+def test_run_decides_string_shape_exactly():
+    w = UPWord("", "a")
+    never = "x < y & y < x"
+    # a1 a2 b1 a3 b2 ...: node a_x comes before b_y exactly when x <= y + 1
+    interleaved = tiny_fot(
+        {(1, "a"): parse_formula("La(x)"), (2, "b"): parse_formula("La(x)")},
+        {(1, 1): parse_formula("x < y"), (2, 2): parse_formula("x < y"),
+         (1, 2): parse_formula("!(E z. (y < z & z < x))"),
+         (2, 1): parse_formula("E z. (x < z & z < y)")},
+        copies=(1, 2),
+    )
+    assert run_fot(interleaved, w, 12) == "aa" + "ba" * 5
+    # position 1 comes after every other node: order type omega + 1
+    last = tiny_fot(
+        {(1, "a"): parse_formula("La(x)")},
+        {(1, 1): parse_formula("(x < y | !(E z. z < y)) & (E z. z < x)")},
+    )
+    # the reverse order: omega*
+    reverse = tiny_fot({(1, "a"): parse_formula("La(x)")}, {(1, 1): parse_formula("y < x")})
+    # copy 2 is a chain that runs backwards, one edge into each node, so it
+    # is never reached while copy 1 runs forever
+    backwards = tiny_fot(
+        {(1, "a"): parse_formula("La(x)"), (2, "b"): parse_formula("La(x)")},
+        {(1, 1): parse_formula("x < y"),
+         (2, 2): parse_formula("y < x & !(E z. (y < z & z < x))"),
+         (1, 2): parse_formula(never), (2, 1): parse_formula(never)},
+        copies=(1, 2),
+    )
+    # no node comes first in the reverse order; in the other two the
+    # removals never reach position 1 of copy 1 or any node of copy 2
+    for t, why in ((reverse, "unique next output node"),
+                   (last, "does not repeat"), (backwards, "does not repeat")):
+        with pytest.raises(ValueError, match="not string-shaped: the .*" + why):
+            run_fot(t, w, 12)
+
+
+def test_run_equals_the_streaming_mirror_at_any_length():
+    fo, st = mirror_fot(), mirror_sst()
+    for w in mirror_corpus():
+        for k in (40, 2100, 10**5):
+            assert run_fot(fo, w, k) == run_output(st, w, k), (w, k)
 
 
 def test_run_zero_letters_is_empty():
