@@ -6,6 +6,7 @@ whose transitions still consult the look-behind and look-ahead automata of
 the source.  eliminate_lookaround then removes the guards by a subset
 construction over configurations that track, besides the state, one
 look-behind run per start state and the set of pending look-ahead claims.
+The result is a plain Sst that sst.run_output runs without its source.
 compare_outputs is the harness that checks any two model implementations
 against each other on a corpus of words.
 
@@ -33,7 +34,8 @@ class SstSf:
     one where several fire is an error caught at run time.  Every update
     row must be copyless, and the output rules keep their shape as on a
     plain Sst (sst.check_output_shape).  start_values lets variables begin
-    with non-empty content (a plain Sst always starts empty).
+    with non-empty content; a plain Sst always starts empty, so
+    eliminate_lookaround writes them as literals on its first transition.
     """
 
     def __init__(self, states, alphabet, initial, delta, variables, update,
@@ -150,8 +152,8 @@ def run_output_sst_sf(s, word, k):
     loop are computed, and once their values repeat the output is filled
     with the repeating block, or padded with ⊥ if it is empty.  Both rules
     are exact, because no other variable reaches the output and the loop is
-    deterministic on those values.  ValueError if the loop does not keep
-    the output rule's shape, which guarded machines do not check when built.
+    deterministic on those values.  The loop keeps the output rule's shape,
+    because SstSf checks its output rules when it is built.
     """
     ctx = _WordContext(s, word)
     keys = []
@@ -573,30 +575,32 @@ def useful_configs(s, cap=100000):
     return useful
 
 
-def eliminate_lookaround(s, cap=4096):
-    """Plain streaming transducer simulating the guarded one.
+def _slot(x, j):
+    return "%s@%d" % (x, j)
 
-    States are sets of useful configurations, variables one copy of each
-    source variable per configuration.  Where several configurations in a
-    set step to the same successor, the update is taken from the least
-    predecessor in configuration order.  Output rules are attached for the
-    settling loops whose designated variables keep their streaming shape;
-    loops where the growing content hops between configuration copies are
-    representable only through the source (see pipeline_output).
+
+def eliminate_lookaround(s, cap=4096):
+    """Plain streaming transducer simulating the guarded one, runnable on its
+    own.
+
+    States are sets of useful configurations.  In a set S, configuration c
+    keeps its copy of source variable x in the slot x@j, where j is c's rank
+    in S by configuration order, so there are max |S| slots per variable.
+    Slots that no configuration of the target set occupies are reset to ε.
+    Where several configurations in a set step to the same successor, the
+    update is taken from the least predecessor.  Each accepting component's
+    covering walk is followed around its subset lasso, and the output rule
+    reads the first slot its configurations occupy there that keeps the
+    streaming shape (sst.check_output_shape); a subset loop that two
+    components would give different rules gets none.  Non-empty start values
+    are written as literals by a fresh initial state that steps like {start}.
     """
     start, adj, parts, useful = _useful_parts(s, cap)
     if start not in useful:
         raise ValueError("the initial configuration is not useful: empty domain")
     order_key = _order_key(s)
-    ordered = sorted(useful, key=order_key)
-    cindex = {c: i for i, c in enumerate(ordered)}
-
-    def vname(x, c):
-        return "%s@%d" % (x, cindex[c])
-
-    variables = tuple(vname(x, c) for c in ordered for x in s.variables)
     step_rows = {}
-    for c in ordered:
+    for c in useful:
         for a, key, c2 in adj[c]:
             if c2 not in useful:
                 continue
@@ -608,40 +612,61 @@ def eliminate_lookaround(s, cap=4096):
                 )
             bucket[c2] = key
 
+    def ranks(S):
+        return {c: j for j, c in enumerate(sorted(S, key=order_key))}
+
     S0 = frozenset([start])
     states = [S0]
-    sindex = {S0: 0}
+    seen = {S0}
     queue = deque([S0])
     delta2 = {}
     update2 = {}
     while queue:
         S = queue.popleft()
+        rank = ranks(S)
         for a in s.alphabet:
             targets = {}
-            for c in sorted(S, key=order_key):
+            for c in rank:
                 for c2, key in step_rows.get((c, a), {}).items():
-                    targets.setdefault(c2, []).append((c, key))
+                    targets.setdefault(c2, (c, key))
             S2 = frozenset(targets)
-            subst = {v: () for v in variables}
-            for c2, preds in targets.items():
-                preds.sort(key=lambda pair: order_key(pair[0]))
-                cmin, key = preds[0]
-                src = s.update[key]
-                for x in s.variables:
-                    subst[vname(x, c2)] = tuple(
-                        item if item[0] == "lit" else ("var", vname(item[1], cmin))
-                        for item in src[x]
+            subst = {}
+            for c2, j2 in ranks(S2).items():
+                c, key = targets[c2]
+                for x, rhs in s.update[key].items():
+                    subst[_slot(x, j2)] = tuple(
+                        item if item[0] == "lit" else ("var", _slot(item[1], rank[c]))
+                        for item in rhs
                     )
-            if S2 not in sindex:
+            if S2 not in seen:
                 if len(states) >= cap:
                     raise CapExceeded(
                         "state blowup: more than %d subset states" % (cap,)
                     )
-                sindex[S2] = len(states)
+                seen.add(S2)
                 states.append(S2)
                 queue.append(S2)
             delta2[(S, a)] = S2
             update2[(S, a)] = subst
+
+    variables = tuple(
+        _slot(x, j) for j in range(max(map(len, states))) for x in s.variables
+    )
+    initial = S0
+    if any(s.start_values.values()):
+        initial = "init"
+        states.insert(0, initial)
+        seeds = {("var", _slot(x, 0)): tuple(("lit", ch) for ch in v)
+                 for x, v in s.start_values.items()}
+        for a in s.alphabet:
+            delta2[(initial, a)] = delta2[(S0, a)]
+            update2[(initial, a)] = {
+                v: tuple(lit for item in rhs for lit in seeds.get(item, (item,)))
+                for v, rhs in update2[(S0, a)].items()
+            }
+    for subst in update2.values():
+        for v in variables:
+            subst.setdefault(v, ())
 
     def succ_full(n):
         for a, _key, c2 in adj[n]:
@@ -650,15 +675,8 @@ def eliminate_lookaround(s, cap=4096):
     output2 = {}
     conflicted = set()
     for comp_sorted, walk, P in parts:
-        if not set(comp_sorted) <= useful:
-            continue
         anchor = comp_sorted[0]
-        if anchor == start:
-            prefix = []
-        else:
-            prefix = _bfs_path(start, anchor, succ_full)
-            if prefix is None:
-                continue
+        prefix = [] if anchor == start else _bfs_path(start, anchor, succ_full)
         S = S0
         for a, _node in prefix:
             S = delta2[(S, a)]
@@ -667,10 +685,11 @@ def eliminate_lookaround(s, cap=4096):
             S, lambda T, col: delta2[(T, letters[col % len(letters)])], 0, len(letters)
         )
         Pprime = frozenset(laps[entry:])
-        source_seq = s.output[P]
-        candidates = sorted({node for _a, node in walk}, key=order_key)
-        for cstar in candidates:
-            seq2 = tuple(vname(x, cstar) for x in source_seq)
+        # the walk is at its last node, the anchor, in every column 0 mod len(walk)
+        slots = sorted({ranks(laps[col])[walk[(col - 1) % len(walk)][1]]
+                        for col in range(entry, len(laps))})
+        for j in slots:
+            seq2 = tuple(_slot(x, j) for x in s.output[P])
             try:
                 check_output_shape({Pprime: seq2}, delta2, update2)
             except ValueError:
@@ -684,52 +703,18 @@ def eliminate_lookaround(s, cap=4096):
     for Pprime in conflicted:
         output2.pop(Pprime, None)
 
-    result = Sst(states, s.alphabet, S0, delta2, variables, update2, output2)
-    result._elimination = {"configs": ordered, "start": start, "source": s}
+    result = Sst(states, s.alphabet, initial, delta2, variables, update2, output2)
+    result._elimination = {"configs": sorted(useful, key=order_key)}
     return result
 
 
 def pipeline_output(result, source, word, k):
-    """First k output letters of an eliminated machine, driven alongside its
-    source.
+    """run_output of the eliminated machine, which needs nothing of source.
 
-    The source decides the domain and points at the live configuration each
-    step; the output is read off that configuration's variable copies.  This
-    covers the settling loops whose output rule the subset machine cannot
-    carry itself, and seeds the source's non-empty start values.  The run
-    pairs the live configuration with the subset state, its lasso keys on
-    that pair and the column class, and the output is streamed along it as
-    in run_output_sst_sf: only the copies the tail's growth reads are
-    computed, so copies of the other configurations (the mirror's guessed
-    reversal, for one) cost nothing, and the output is extrapolated once
-    the read copies' values repeat.
+    Kept under this name and signature because the stream workload and the
+    tracer of perfbench look it up by name.
     """
-    meta = result._elimination
-    cindex = {c: i for i, c in enumerate(meta["configs"])}
-    ctx = _WordContext(source, word)
-    substs = []
-
-    def step(live, col):
-        cfg, S = live
-        key = _fire(source, ctx, cfg.state, col)
-        substs.append(result.update[(S, key[2])])
-        return _advance(source, cfg, key), result.delta[(S, key[2])]
-
-    run, entry, _ = lasso(
-        (meta["start"], result.initial), step, ctx.entry_pos - 1, ctx.cycle_len
-    )
-    seq = _output_rule(source, (cfg.state for cfg, _S in run[entry:]))
-    for pos, (cfg, S) in enumerate(run):
-        if cfg not in S:
-            raise ValueError(
-                "the live configuration fell out of the subset state "
-                "at position %d" % (pos,)
-            )
-    vals = {v: "" for v in result.variables}
-    for x in source.variables:
-        vals["%s@%d" % (x, cindex[meta["start"]])] = source.start_values[x]
-    out_vars = ["%s@%d" % (x, cindex[run[entry][0]]) for x in seq]
-    return stream_output(vals, substs, entry, out_vars, k)
+    return run_output(result, word, k)
 
 
 # ---------------------------------------------------------------------------

@@ -288,10 +288,11 @@ def stream_output(vals, substs, entry, out_vars, k):
 
     substs[c] takes the variable values of column c to those of column c+1,
     and substs[entry:] is the loop the run repeats forever.  Its composition
-    σ must keep out_vars[:-1] fixed and send the tail t = out_vars[-1] to
-    t·rest, as the output rules guarantee; ValueError otherwise.  The output
-    is then the value of out_vars at the entry followed by one piece per
-    loop, rest spelled on the values before that loop.
+    σ keeps out_vars[:-1] fixed and sends the tail t = out_vars[-1] to
+    t·rest, because Sst and SstSf check their output rules when built and
+    the loop stays inside the rule's state set.  The output is then the
+    value of out_vars at the entry followed by one piece per loop, rest
+    spelled on the values before that loop.
 
     Only the read set R, the variables rest reads closed under the reads of
     σ, is computed: in the prefix, only the right-hand sides some later step
@@ -309,10 +310,8 @@ def stream_output(vals, substs, entry, out_vars, k):
     stops growing, R's values are all empty from some loop on, and repeat.
     """
     loop = substs[entry:]
-    *fixed, tail = out_vars
+    tail = out_vars[-1]
     sigma = _loop_subst(loop, out_vars)
-    if any(sigma[x] != (("var", x),) for x in fixed) or sigma[tail][:1] != (("var", tail),):
-        raise ValueError("the loop breaks the shape of the output rule %s" % " ".join(out_vars))
     rest = sigma[tail][1:]
     read = set()
     todo = _reads(rest)

@@ -31,7 +31,6 @@ from omegatrans.fot import run_fot
 from omegatrans.fologic import evaluate
 from omegatrans.constructions import (
     eliminate_lookaround,
-    pipeline_output,
     twowst_to_sst_sf,
 )
 from omegatrans.fixtures import (
@@ -270,10 +269,9 @@ def test_c10_in_out_walks_spell_the_variable_values():
 def test_c11_lookaround_pipeline_is_sound_and_aperiodic():
     t0 = time.perf_counter()
     t = mirror_twowst()
-    s = twowst_to_sst_sf(t)
-    e = eliminate_lookaround(s)
+    e = eliminate_lookaround(twowst_to_sst_sf(t))
     for w in mirror_corpus():
-        assert pipeline_output(e, s, w, 200) == run_2wst(t, w, 200), w
+        assert run_output(e, w, 200) == run_2wst(t, w, 200), w
     assert is_aperiodic_sst(e) == (True, None)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, elapsed

@@ -7,7 +7,6 @@ from omegatrans.constructions import (
     SstSf,
     compare_outputs,
     eliminate_lookaround,
-    pipeline_output,
     run_model,
     run_output_sst_sf,
     twowst_to_sst_sf,
@@ -23,6 +22,8 @@ from omegatrans.fixtures import (
     mirror_twowst,
     plain_copier_twowst,
     random_copyless_sst,
+    random_twowst,
+    random_upword,
 )
 from omegatrans.muller import CapExceeded, Dma
 from omegatrans.sst import (
@@ -38,7 +39,7 @@ from omegatrans.sst import (
     run_output,
     sst_monoid,
 )
-from omegatrans.twowst import MARK, RIGHT, STAY, Dfa, TwoWst, run_2wst
+from omegatrans.twowst import LEFT, MARK, RIGHT, STAY, Dfa, TwoWst, run_2wst
 from omegatrans.words import UPWord
 
 
@@ -159,8 +160,7 @@ def test_conversion_accepts_whatever_the_guards_allow():
     with pytest.raises(NotInDomain):
         run_2wst(t, w, 9)
     assert run_output_sst_sf(s, w, 9) == "aa#aa#aa#"
-    elim = eliminate_lookaround(s)
-    assert pipeline_output(elim, s, w, 9) == "aa#aa#aa#"
+    assert run_output(eliminate_lookaround(s), w, 9) == "aa#aa#aa#"
 
 
 def test_head_that_never_leaves_a_cell_is_reported():
@@ -255,8 +255,8 @@ def test_elimination_of_the_mirror_lookahead():
     s = twowst_to_sst_sf(mirror_twowst())
     elim = eliminate_lookaround(s)
     assert len(elim.states) == 5
-    assert len(elim.variables) == 28
-    assert sorted(elim.F.values()) == [("O@1",), ("O@5",), ("O@6",)]
+    assert len(elim.variables) == 8
+    assert sorted(elim.F.values()) == [("O@0",), ("O@0",), ("O@1",), ("O@1",)]
     assert run_output(elim, UPWord("ab#", "a"), 20) == "baab#" + "a" * 15
 
 
@@ -273,9 +273,7 @@ def test_pipeline_run_agrees_with_the_two_way_run():
     s = twowst_to_sst_sf(t)
     elim = eliminate_lookaround(s)
     for w in mirror_corpus()[:10]:
-        expect = run_2wst(t, w, 60)
-        assert pipeline_output(elim, s, w, 60) == expect
-        assert run_output(elim, w, 60) == expect
+        assert run_output(elim, w, 60) == run_2wst(t, w, 60)
 
 
 def test_elimination_cap():
@@ -284,16 +282,31 @@ def test_elimination_cap():
         eliminate_lookaround(s, cap=2)
 
 
-def test_alternating_copier_needs_the_guarded_runner():
-    """The accepting loop hops between two subset states, so no single
-    streaming output rule fits; the lockstep runner still works."""
+def test_alternating_copier_runs_standalone():
+    """The accepting loop hops between two subset states, each holding one
+    configuration, so the output stays in slot 0 and one rule covers it."""
     t = alternating_copier_twowst()
     s = twowst_to_sst_sf(t)
     elim = eliminate_lookaround(s)
-    assert sorted(elim.F.values()) == []
-    with pytest.raises(NotInDomain):
-        run_output(elim, UPWord("", "a"), 12)
-    assert pipeline_output(elim, s, UPWord("", "a"), 12) == "a" * 12
+    assert sorted(elim.F.values()) == [("O@0",)]
+    assert run_output(elim, UPWord("", "a"), 12) == "a" * 12
+    assert run_output_sst_sf(s, UPWord("", "a"), 12) == "a" * 12
+
+
+def test_start_values_are_written_by_a_fresh_initial_state():
+    """The head bounces off the end marker, writing x into X_m's start value
+    before it reads anything; the eliminated machine writes x itself."""
+    delta = {
+        ("s", None, "a", None): ("m", "", LEFT),
+        ("m", None, MARK, None): ("c", "x", RIGHT),
+        ("c", None, "a", None): ("c", "a", RIGHT),
+    }
+    t = TwoWst("scm", "a", "s", delta, [{"c"}])
+    s = twowst_to_sst_sf(t)
+    assert s.start_values["X_m"] == "x"
+    w = UPWord("", "a")
+    assert run_2wst(t, w, 6) == run_output_sst_sf(s, w, 6) == "xaaaaa"
+    assert run_output(eliminate_lookaround(s), w, 6) == "xaaaaa"
 
 
 def test_vacuous_guards_eliminate_to_singleton_states():
@@ -306,13 +319,12 @@ def test_vacuous_guards_eliminate_to_singleton_states():
     elim = eliminate_lookaround(wrap)
     assert len(elim.states) == 2
     assert all(len(subset) == 1 for subset in elim.states)
-    assert sorted(elim.F.values()) == [("x@1", "z@1")]
+    assert sorted(elim.F.values()) == [("x@0", "z@0")]
     base = mirror_sst()
     for w in [UPWord("ab#", "a"), UPWord("", "ab"), UPWord("abbb#ba#", "ab")]:
         expect = run_output(base, w, 40)
         assert run_output_sst_sf(wrap, w, 40) == expect
         assert run_output(elim, w, 40) == expect
-        assert pipeline_output(elim, wrap, w, 40) == expect
 
 
 @pytest.mark.parametrize("rows, expect", [
@@ -327,14 +339,12 @@ def test_streaming_runners_decide_padding_exactly(rows, expect):
     w = UPWord("", "a")
     assert run_output(t, w, 8) == expect
     assert run_output_sst_sf(wrap, w, 8) == expect
-    assert pipeline_output(eliminate_lookaround(wrap), wrap, w, 8) == expect
+    assert run_output(eliminate_lookaround(wrap), w, 8) == expect
 
 
 def test_streaming_runners_agree_with_the_unrolled_run():
-    """run_output, the guarded runner on a vacuous wrapper and the pipeline
-    runner of the wrapper's elimination all give the unrolled output.
-    run_output of the eliminated machine is left out: elimination does not
-    attach an output rule to every settling loop yet."""
+    """run_output, the guarded runner on a vacuous wrapper and run_output of
+    the wrapper's elimination all give the unrolled output."""
     rng = random.Random(5)
     for _ in range(200):
         t = random_copyless_sst(rng)
@@ -345,7 +355,47 @@ def test_streaming_runners_agree_with_the_unrolled_run():
                 expect = unrolled_output(t, w, k)
                 assert run_output(t, w, k) == expect, (w, k)
                 assert run_output_sst_sf(wrap, w, k) == expect, (w, k)
-                assert pipeline_output(elim, wrap, w, k) == expect, (w, k)
+                assert run_output(elim, w, k) == expect, (w, k)
+
+
+
+def _output_or_none(run, *args):
+    try:
+        return run(*args)
+    except NotInDomain:
+        return None
+
+
+def test_eliminated_machine_runs_like_its_guarded_source():
+    """run_output of the elimination gives what the guarded runner gives,
+    rejections included, on compiled random two-way machines and on vacuous
+    wrappers of random copyless transducers.  Conversions refused for a
+    cell the head never leaves or for their size are skipped; a source
+    whose initial configuration is not useful rejects every word."""
+    rng = random.Random(3)
+    sources = []
+    while len(sources) < 300:
+        try:
+            sources.append(twowst_to_sst_sf(random_twowst(rng)))
+        except CapExceeded:
+            pass
+        except ValueError as exc:
+            assert "recursion divergence" in str(exc)
+    sources += [wrapped_sst(random_copyless_sst(rng)) for _ in range(200)]
+    for s in sources:
+        words = [random_upword(rng, "ab", 2, 2) for _ in range(4)]
+        try:
+            elim = eliminate_lookaround(s)
+        except ValueError as exc:
+            assert "empty domain" in str(exc)
+            for w in words:
+                with pytest.raises(NotInDomain):
+                    run_output_sst_sf(s, w, 8)
+            continue
+        for w in words:
+            for k in (8, 64):
+                expect = _output_or_none(run_output_sst_sf, s, w, k)
+                assert _output_or_none(run_output, elim, w, k) == expect, (w, k)
 
 
 # y and z swap a and b on every loop, and x takes y's letter
@@ -377,7 +427,7 @@ def test_streaming_runners_stop_by_the_read_set(prefix, period, rows, expect):
     if all(is_copyless(subst) for subst in t.update.values()):
         wrap = wrapped_sst(t)
         assert run_output_sst_sf(wrap, w, k) == expect
-        assert pipeline_output(eliminate_lookaround(wrap), wrap, w, k) == expect
+        assert run_output(eliminate_lookaround(wrap), w, k) == expect
 
 
 def test_streaming_work_does_not_grow_with_k(monkeypatch):
@@ -411,16 +461,16 @@ def test_streaming_work_does_not_grow_with_k(monkeypatch):
 def test_colliding_updates_take_the_least_configuration():
     tb = tie_break_machine()
     elim = eliminate_lookaround(tb)
-    assert elim.variables == ("X@0", "X@1", "X@2", "X@3")
+    assert elim.variables == ("X@0", "X@1")
     claimed_both = [
         S for S in elim.states
         if sorted(sorted(c.claims) for c in S) == [["u"], ["v"]]
     ]
     assert len(claimed_both) == 1
     subst = elim.update[(claimed_both[0], "a")]
-    assert subst["X@1"] == (("var", "X@1"), ("lit", "a"))
-    assert subst["X@2"] == (("var", "X@1"), ("lit", "b"))
-    assert sorted(elim.F.values()) == [("X@1",)]
+    assert subst["X@0"] == (("var", "X@0"), ("lit", "a"))
+    assert subst["X@1"] == (("var", "X@0"), ("lit", "b"))
+    assert sorted(elim.F.values()) == [("X@0",)]
     assert run_output(elim, UPWord("", "a"), 6) == "aaaaaa"
 
 
