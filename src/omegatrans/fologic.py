@@ -94,6 +94,24 @@ class Forall(NamedTuple):
     body: object
 
 
+# Plain tuple equality would make Eq("x", "y") == Leq("x", "y") and
+# And(f, g) == Or(f, g); formulas compare and hash by their class as well.
+def _formula_eq(f, g):
+    return type(f) is type(g) and tuple.__eq__(f, g)
+
+
+def _formula_ne(f, g):
+    return not _formula_eq(f, g)
+
+
+def _formula_hash(f):
+    return hash((type(f), tuple(f)))
+
+
+for _cls in (Eq, Leq, Less, Label, Not, And, Or, Implies, Exists, Forall):
+    _cls.__eq__, _cls.__ne__, _cls.__hash__ = _formula_eq, _formula_ne, _formula_hash
+
+
 def quantifier_depth(f):
     if isinstance(f, (Eq, Leq, Less, Label)):
         return 0

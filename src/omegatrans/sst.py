@@ -19,11 +19,14 @@ machines are deterministic, so a row of the classical flow matrix over
 (state, variable) pairs has one target state, and the block is that row
 grid.  Counts saturate at 2 ("two means at least two"), which keeps the
 monoid finite while still deciding whether the machine is 1-bounded (no
-count ever reaches 2) and aperiodic.  `flows` and FlowCache keep counts
-exact, without saturation, for the output structure queries in module
-outputgraph.  The matrix view (`rows`, `entry`) pairs each count with the
-coordinate tuple of the state run, as the entry algebra of module muller
-describes it.
+count ever reaches 2) and aperiodic.  `flows` keeps a count exact, as
+one unsaturated flow matrix of the factor.  The output-structure queries
+of module outputgraph (`useful`, `path_conditions`) need no counts: a
+count is at least 1 exactly when its target is in a reach set, and
+FlowCache answers them from reach sets and column tables of the run.
+The matrix view (`rows`, `entry`) pairs each count with the coordinate
+tuple of the state run, as the entry algebra of module muller describes
+it.
 """
 
 from .muller import BOT, SummarySpace, aperiodicity_witness, generate_monoid
@@ -392,9 +395,10 @@ def _count_block(t, subst, saturate):
 
 def flow_matrix(t, factor, saturate=True):
     """Flow matrix of a finite factor (product of letter matrices)."""
+    letters = {a: flow_matrix_direct(t, a, saturate) for a in set(factor)}
     m = _flow_space(t, saturate).identity()
     for a in factor:
-        m = m * flow_matrix_direct(t, a, saturate)
+        m = m * letters[a]
     return m
 
 
@@ -433,70 +437,46 @@ def is_aperiodic_sst(t, cap=10 ** 6):
 
 
 class FlowCache:
-    """Exact flow counts between columns of one run, memoized.
+    """Reach sets and column tables of one run, built on demand.
 
-    flows(i, j, X, Y) is the number of copies of X's content after i letters
-    that sit inside Y's content after j letters, i <= j, counted without
-    saturation.
+    reach_set(x, i, k) is the set of variables whose column-k content holds
+    a copy of x's column-i content; an exact flow count is at least 1
+    exactly when its target is in that set.  useful(x, i) and order(k,
+    horizon) read the two column tables of path_conditions, each built once
+    per cache and horizon by _backward_fixpoint.  Everything is built
+    iteratively, so columns any distance apart are fine, and a query is a
+    few set lookups.
     """
 
     def __init__(self, t, word):
         self.t = t
-        self.word = word
         self.analysis = analyze_run(t, word)
-        self._letters = {}
-        self._products = {}
-        self._identity = _flow_space(t, False).identity()
-        self._useful = {}
         self._reach = {}
-        self._cat = {}
-
-    def letter(self, a):
-        if a not in self._letters:
-            self._letters[a] = flow_matrix_direct(self.t, a, saturate=False)
-        return self._letters[a]
-
-    def product(self, i, j):
-        if i == j:
-            return self._identity
-        if (i, j) not in self._products:
-            m = self.product(i, j - 1) if j - 1 > i else self._identity
-            self._products[(i, j)] = m * self.letter(self.word.letter_at(j))
-        return self._products[(i, j)]
-
-    def flows(self, i, j, x, y):
-        e = self.product(i, j).entry(
-            (self.analysis.state_at(i), x), (self.analysis.state_at(j), y)
-        )
-        return 0 if e is BOT else e[0]
+        self._useful = None
+        self._order = {}
 
     def reach_set(self, x, i, k):
-        """Variables holding a copy of x's column-i content at column k."""
-        if (x, i, k) not in self._reach:
-            if k == i:
-                self._reach[(x, i, k)] = frozenset([x])
-            else:
-                self._reach[(x, i, k)] = _step_vars(
-                    self.t, self.analysis.update_at(k), self.reach_set(x, i, k - 1)
-                )
-        return self._reach[(x, i, k)]
-
-    def cat_pairs(self, col):
-        """Ordered variable pairs (u, v), u strictly before v in a rhs at step col."""
-        if col not in self._cat:
-            pairs = set()
-            for rhs in self.analysis.update_at(col).values():
-                occ = [v for kind, v in rhs if kind == "var"]
-                for a in range(len(occ)):
-                    for b in range(a + 1, len(occ)):
-                        pairs.add((occ[a], occ[b]))
-            self._cat[col] = pairs
-        return self._cat[col]
+        """Variables holding a copy of x's column-i content at column k >= i."""
+        row = self._reach.get((x, i))
+        if row is None:
+            row = self._reach[(x, i)] = [frozenset([x])]
+        while len(row) <= k - i:
+            subst = self.analysis.update_at(i + len(row))
+            row.append(_step_vars(self.t, subst, row[-1]))
+        return row[k - i]
 
     def useful(self, x, i):
-        if (x, i) not in self._useful:
-            self._useful[(x, i)] = useful(self.t, self.word, x, i, self.analysis)
-        return self._useful[(x, i)]
+        if self._useful is None:
+            self._useful = _useful_table(self.analysis)
+        return x in self._useful(i)
+
+    def order(self, k, horizon):
+        """Pairs (u, v) whose column-k contents meet in one right-hand side,
+        u strictly first, at a step up to the horizon (None: any step)."""
+        table = self._order.get(horizon)
+        if table is None:
+            table = self._order[horizon] = _order_table(self.analysis, horizon)
+        return table(k)
 
 
 def _step_vars(t, subst, sources):
@@ -507,9 +487,100 @@ def _step_vars(t, subst, sources):
     )
 
 
+def _backward_fixpoint(ana, base, pre, start, stop):
+    """The least column sets T_k = base(k) ∪ pre(k + 1, T_{k+1}), as a lookup.
+
+    pre(c, S) is the part of column c - 1 that the step into column c sends
+    into S, and both it and base are monotone.  With a stop column, T_k = ∅ from stop on and the
+    columns below are filled back to front.  Without one, base(k) and
+    pre(k + 1, ·) must depend on k >= start only through the phase
+    (k - start) mod cycle_cols.  The phases are then iterated from ∅ until a
+    whole pass changes nothing: every value stays below the least solution
+    (monotone steps from ∅), and a pass without change is a solution, so
+    the result is the least one.  The sets are finite, so this stops.  The
+    columns below start are then filled back to front from phase 0.
+    """
+    if stop is None:
+        period = ana.cycle_cols
+        cycle = [frozenset()] * period
+        changed = True
+        while changed:
+            changed = False
+            for p in reversed(range(period)):
+                new = base(start + p) | pre(start + p + 1, cycle[(p + 1) % period])
+                if new != cycle[p]:
+                    cycle[p], changed = new, True
+        later = cycle[0]
+    else:
+        start, cycle, later = max(stop, 0), None, frozenset()
+    head = [None] * start
+    for k in reversed(range(start)):
+        later = head[k] = base(k) | pre(k + 1, later)
+
+    def at(k):
+        if k < 0:
+            raise ValueError("column must be >= 0")
+        if k < start:
+            return head[k]
+        if cycle is None:
+            return frozenset()
+        return cycle[(k - start) % len(cycle)]
+
+    return at
+
+
+def _useful_table(ana):
+    """U_k, the variables whose column-k content reaches the output.
+
+    U_k = base_k ∪ pre_{k+1}(U_{k+1}), where pre_c(S) is the variables the
+    step into column c reads into S, and base_k is the output variables at
+    the settling column, the growing last one after it and nothing before
+    it.  From max(entry, settle + 1) on, both repeat with the cycle.
+    """
+    if not ana.in_domain:
+        raise NotInDomain(ana.infinity)
+    settle = ana.settle_col
+    final = frozenset(ana.output_seq)
+    last = frozenset(ana.output_seq[-1:])
+
+    def base(k):
+        return frozenset() if k < settle else final if k == settle else last
+
+    def pre(col, later):
+        subst = ana.update_at(col)
+        return frozenset().union(*(_reads(subst[v]) for v in later))
+
+    return _backward_fixpoint(ana, base, pre, max(ana.entry_col, settle + 1), None)
+
+
+def _order_table(ana, horizon):
+    """C_k of path_conditions, over the steps up to the horizon (None: all)."""
+
+    def base(k):
+        pairs = set()
+        for rhs in ana.update_at(k + 1).values():
+            occ = [v for kind, v in rhs if kind == "var"]
+            pairs.update((u, v) for n, u in enumerate(occ) for v in occ[n + 1:])
+        return frozenset(pairs)
+
+    def pre(col, later):
+        subst = ana.update_at(col)
+        reads = {v: _reads(rhs) for v, rhs in subst.items()}
+        return frozenset((u, v) for a, b in later for u in reads[a] for v in reads[b])
+
+    return _backward_fixpoint(ana, base, pre, ana.entry_col, horizon)
+
+
 def flows(t, word, i, j, x, y):
-    """Exact copy count of x's content after i letters inside y after j letters."""
-    return FlowCache(t, word).flows(i, j, x, y)
+    """Exact copy count of x's content after i letters inside y after j >= i letters."""
+    if i > j:
+        raise ValueError("flows need i <= j, got %d > %d" % (i, j))
+    ana = analyze_run(t, word)
+    factor = [word.letter_at(col) for col in range(i + 1, j + 1)]
+    e = flow_matrix(t, factor, saturate=False).entry(
+        (ana.state_at(i), x), (ana.state_at(j), y)
+    )
+    return 0 if e is BOT else e[0]
 
 
 def useful(t, word, x, i, analysis=None):
@@ -517,47 +588,45 @@ def useful(t, word, x, i, analysis=None):
 
     The content must either flow into one of the output variables by the
     settling column, or into the growing last output variable at some column
-    past settling.  Raises NotInDomain on rejected words.
+    past settling.  Read off the column table of _useful_table.  Raises
+    NotInDomain on rejected words.
     """
-    if i < 0:
-        raise ValueError("column must be >= 0")
     ana = analysis if analysis is not None else analyze_run(t, word)
-    if not ana.in_domain:
-        raise NotInDomain(ana.infinity)
-    seq = ana.output_seq
-    out_vars = set(seq)
-    last = seq[-1]
-    jcol = ana.settle_col
-    anchor = max(jcol + 1, i, ana.entry_col)
-    cur = frozenset([x])
-    col = i
-    seen = set()
-    while True:
-        if col == jcol and cur & out_vars:
-            return True
-        if col > jcol and last in cur:
-            return True
-        if not cur:
-            return False
-        if col >= anchor:
-            key = ((col - ana.entry_col) % ana.cycle_cols, cur)
-            if key in seen:
-                return False
-            seen.add(key)
-        col += 1
-        cur = _step_vars(t, ana.update_at(col), cur)
+    return x in _useful_table(ana)(i)
 
 
 def path_conditions(t, word, x, i, d, y, j, d2, horizon=None, cache=None):
     """Reachability from (x, i, d) to (y, j, d2) in the run's output structure.
 
-    Decided from flow counts instead of the graph: both columns must be
-    useful, and one of three situations must hold.  Descending from an in
-    node: y's column-j content sits inside x's column-i content.  Arriving at
-    an out node: x's content sits inside y's.  Or both contents flow into one
-    right-hand side at some later step, x's carrier strictly before y's.
-    With a horizon, that later step is only searched up to it (matching a
-    truncated graph); without one the search runs over the whole lasso.
+    Decided from flows instead of the graph: both columns must be useful,
+    and one of three situations must hold.  Descending from an in node:
+    y's column-j content sits inside x's column-i content, that is x is in
+    reach_set(y, j, i).  Arriving at an out node: y is in reach_set(x, i, j).
+    Or both contents flow into one right-hand side at some later step, x's
+    carrier strictly first: with m = max(i, j), some u in reach_set(x, i, m)
+    and v in reach_set(y, j, m) have (u, v) in C_m.  That later step is only
+    searched up to the horizon when one is given (matching a truncated
+    graph), and over the whole run otherwise.
+
+    C_k is the set of variable pairs (u, v) whose column-k contents meet in
+    one right-hand side, u strictly first, at a step up to the horizon.  The
+    step into column k + 1 sends each variable into the variables that read
+    it, so u and v meet after that step exactly when some pair of their
+    step sets is in C_{k+1}:
+
+        C_k = cat(k + 1) ∪ {(u, v) : step_{k+1}(u) × step_{k+1}(v) meets C_{k+1}}
+
+    with cat(c) the ordered pairs of one right-hand side at step c, and
+    C_k = ∅ from the horizon on.  Splitting the query into pairs is exact,
+    since step sets distribute over unions.  With a horizon the columns
+    below it are filled back to front.  Without one, the true C (pairs that
+    meet at some finite step) is the least solution: by induction on the
+    distance to the meeting step, it lies inside every solution, and it is
+    one.  The run repeats from the entry column with the cycle, so C does,
+    and it is the least fixpoint of the recurrence over the cycle's phases,
+    which _backward_fixpoint computes.  A forward scan from (x, i) and
+    (y, j) could stop for the same reason: its states (phase, reach of x,
+    reach of y) are finite, and "some later step" is their least fixpoint.
     """
     fc = cache if cache is not None else FlowCache(t, word)
     ana = fc.analysis
@@ -565,43 +634,11 @@ def path_conditions(t, word, x, i, d, y, j, d2, horizon=None, cache=None):
         raise NotInDomain(ana.infinity)
     if not (fc.useful(x, i) and fc.useful(y, j)):
         return False
-    if d == "in" and j <= i and fc.flows(j, i, y, x) >= 1:
+    if d == "in" and j <= i and x in fc.reach_set(y, j, i):
         return True
-    if d2 == "out" and i <= j and fc.flows(i, j, x, y) >= 1:
+    if d2 == "out" and i <= j and y in fc.reach_set(x, i, j):
         return True
-    return _cat_condition(fc, x, i, y, j, horizon)
-
-
-def _cat_condition(fc, x, i, y, j, horizon):
-    ana = fc.analysis
-    start = max(i, j)
-    if horizon is not None:
-        for k in range(start, horizon):
-            vx = fc.reach_set(x, i, k)
-            vy = fc.reach_set(y, j, k)
-            if not vx or not vy:
-                return False
-            pairs = fc.cat_pairs(k + 1)
-            if any((u, v) in pairs for u in vx for v in vy):
-                return True
-        return False
-    vx = fc.reach_set(x, i, start)
-    vy = fc.reach_set(y, j, start)
-    anchor = max(start, ana.entry_col)
-    seen = set()
-    k = start
-    while True:
-        if not vx or not vy:
-            return False
-        if k >= anchor:
-            key = ((k - ana.entry_col) % ana.cycle_cols, vx, vy)
-            if key in seen:
-                return False
-            seen.add(key)
-        pairs = fc.cat_pairs(k + 1)
-        if any((u, v) in pairs for u in vx for v in vy):
-            return True
-        k += 1
-        subst = ana.update_at(k)
-        vx = _step_vars(fc.t, subst, vx)
-        vy = _step_vars(fc.t, subst, vy)
+    m = max(i, j)
+    order = fc.order(m, horizon)
+    vy = fc.reach_set(y, j, m)
+    return any((u, v) in order for u in fc.reach_set(x, i, m) for v in vy)

@@ -52,6 +52,23 @@ def test_parse_basics():
     )
 
 
+def test_formulas_differ_by_connective():
+    f, g = fo.Eq("x", "y"), fo.Label("a", "x")
+    pairs = [
+        (fo.Eq("x", "y"), fo.Leq("x", "y")),
+        (fo.Leq("x", "y"), fo.Less("x", "y")),
+        (fo.And(f, g), fo.Or(f, g)),
+        (fo.Or(f, g), fo.Implies(f, g)),
+        (fo.Exists("x", g), fo.Forall("x", g)),
+        (fo.Not(fo.And(f, g)), fo.Not(fo.Or(f, g))),
+    ]
+    for a, b in pairs:
+        assert a != b and not a == b, (a, b)
+        assert len({a, b}) == 2, (a, b)
+    assert fo.And(f, g) == fo.And(fo.Eq("x", "y"), fo.Label("a", "x"))
+    assert hash(fo.And(f, g)) == hash(fo.And(fo.Eq("x", "y"), fo.Label("a", "x")))
+
+
 def test_parse_precedence_and_quantifier_scope():
     # -> binds loosest and right-associative; quantifier runs to the end
     f = fo.parse_formula("A x. La(x) -> Lb(x) -> x = x")

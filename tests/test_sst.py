@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegatrans.muller import NEUTRAL, run_coordinate
+from omegatrans.muller import BOT, NEUTRAL, run_coordinate
 from omegatrans.fixtures import (
     domain_words,
     mirror_sst,
@@ -319,6 +320,139 @@ def test_path_conditions_skips_useless_columns():
     w = UPWord("123456", "z")
     assert not path_conditions(t, w, "X", 1, "in", "Z", 0, "in")
     assert not path_conditions(t, w, "Z", 0, "in", "X", 1, "out")
+
+
+def test_long_spans_need_no_recursion():
+    t = mirror_sst()
+    w = UPWord("ab#", "a")
+    for horizon in (3000, None):
+        # z's column-5 content ends up inside z's column-2995 content
+        assert path_conditions(t, w, "z", 5, "in", "z", 2995, "out", horizon=horizon)
+        assert path_conditions(t, w, "z", 2995, "in", "z", 5, "in", horizon=horizon)
+    factor = [w.letter_at(col) for col in range(1, 3001)]
+    direct = flow_matrix_direct(t, factor, saturate=False)
+    end = analyze_run(t, w).state_at(3000)
+    for x in t.variables:
+        for y in t.variables:
+            e = direct.entry((t.initial, x), (end, y))
+            assert flows(t, w, 0, 3000, x, y) == (0 if e is BOT else e[0]), (x, y)
+
+
+def _forward_step(t, subst, cur):
+    return frozenset(
+        y for y in t.variables if any(k == "var" and v in cur for k, v in subst[y])
+    )
+
+
+def _forward_useful(t, ana, x, i):
+    """useful as a forward walk that stops on a repeated (phase, reach set)."""
+    out_vars = set(ana.output_seq)
+    last = ana.output_seq[-1]
+    jcol = ana.settle_col
+    anchor = max(jcol + 1, i, ana.entry_col)
+    cur, col, seen = frozenset([x]), i, set()
+    while True:
+        if col == jcol and cur & out_vars:
+            return True
+        if col > jcol and last in cur:
+            return True
+        if not cur:
+            return False
+        if col >= anchor:
+            key = ((col - ana.entry_col) % ana.cycle_cols, cur)
+            if key in seen:
+                return False
+            seen.add(key)
+        col += 1
+        cur = _forward_step(t, ana.update_at(col), cur)
+
+
+def _forward_meet(t, ana, x, i, y, j, horizon):
+    """Whether x's and y's contents meet in one rhs, x's first, by a forward
+    scan up to the horizon, or until a (phase, reach, reach) state repeats."""
+    vx, vy, k = frozenset([x]), frozenset([y]), min(i, j)
+    while k < max(i, j):
+        k += 1
+        vx = _forward_step(t, ana.update_at(k), vx) if k > i else vx
+        vy = _forward_step(t, ana.update_at(k), vy) if k > j else vy
+    anchor = max(k, ana.entry_col)
+    seen = set()
+    while horizon is None or k < horizon:
+        if not vx or not vy:
+            return False
+        if horizon is None and k >= anchor:
+            key = ((k - ana.entry_col) % ana.cycle_cols, vx, vy)
+            if key in seen:
+                return False
+            seen.add(key)
+        subst = ana.update_at(k + 1)
+        for rhs in subst.values():
+            occ = [v for kind, v in rhs if kind == "var"]
+            if any(u in vx and v in vy for n, u in enumerate(occ) for v in occ[n + 1:]):
+                return True
+        k += 1
+        vx = _forward_step(t, subst, vx)
+        vy = _forward_step(t, subst, vy)
+    return False
+
+
+def _exact_counts(t, w, ana, top):
+    """Flow counts between columns 0..top as products of exact letter matrices."""
+    letters = {a: flow_matrix_direct(t, a, saturate=False) for a in t.alphabet}
+    counts = {}
+    for i in range(top + 1):
+        m = flow_matrix(t, "", saturate=False)
+        for j in range(i, top + 1):
+            if j > i:
+                m = m * letters[w.letter_at(j)]
+            for x in t.variables:
+                for y in t.variables:
+                    e = m.entry((ana.state_at(i), x), (ana.state_at(j), y))
+                    counts[(i, j, x, y)] = 0 if e is BOT else e[0]
+    return counts
+
+
+def _forward_path(counts, live, meet, x, i, d, y, j, d2):
+    if not (live[(x, i)] and live[(y, j)]):
+        return False
+    if d == "in" and j <= i and counts[(j, i, y, x)] >= 1:
+        return True
+    if d2 == "out" and i <= j and counts[(i, j, x, y)] >= 1:
+        return True
+    return meet(x, i, y, j)
+
+
+def test_column_tables_agree_with_forward_scans():
+    """path_conditions, useful and flows against forward scans and products
+    of exact flow matrices, on every node pair up to entry + 2 cycles + 1."""
+    # the mirror's runs settle after their lasso entry, with a fixed output
+    # variable, which the random machines (one growing output) never have
+    cases = [(mirror_sst(), UPWord("", "ab")), (mirror_sst(), UPWord("a#b", "ab"))]
+    rng = random.Random(8)
+    while len(cases) < 60:
+        t = random_copyless_sst(rng)
+        cases += [(t, w) for w in domain_words(t, rng, 2, max_prefix=3, max_period=3)]
+    for t, w in cases:
+        fc = FlowCache(t, w)
+        ana = fc.analysis
+        top = ana.entry_col + 2 * ana.cycle_cols + 1
+        counts = _exact_counts(t, w, ana, top)
+        for (i, j, x, y), n in counts.items():
+            if i % 3 == 0:
+                assert flows(t, w, i, j, x, y) == n, (i, j, x, y, w)
+        cols = [(x, i) for i in range(top + 1) for x in t.variables]
+        live = {c: _forward_useful(t, ana, *c) for c in cols}
+        for (x, i), want in live.items():
+            assert useful(t, w, x, i) == want == fc.useful(x, i), (x, i, w)
+        nodes = [c + (d,) for c in cols for d in ("in", "out")]
+        for horizon in (None, ana.settle_col + 1, top):
+            meet = functools.lru_cache(maxsize=None)(
+                functools.partial(_forward_meet, t, ana, horizon=horizon))
+            for u in nodes:
+                for v in nodes:
+                    want = _forward_path(counts, live, meet, *u, *v)
+                    got = path_conditions(t, w, *u, *v, horizon=horizon, cache=fc)
+                    assert got == want, (u, v, horizon, w)
 
 
 def test_random_generator_yields_copyless_machines_with_domains():
