@@ -20,7 +20,8 @@ from collections import deque, namedtuple
 
 from .fot import Fot, run_fot
 from .muller import CapExceeded
-from .sst import PAD, NotInDomain, Sst, check_output_shape, is_copyless, run_output, stream_output
+from .sst import (PAD, NotInDomain, Sst, check_length, check_output_shape, is_copyless,
+                  run_output, stream_output)
 from .twowst import LEFT, MARK, RIGHT, STAY, TwoWst, _WordContext, guarded_row, run_2wst
 from .words import UPWord, first_divergence, lasso
 
@@ -153,8 +154,10 @@ def run_output_sst_sf(s, word, k):
     with the repeating block, or padded with ⊥ if it is empty.  Both rules
     are exact, because no other variable reaches the output and the loop is
     deterministic on those values.  The loop keeps the output rule's shape,
-    because SstSf checks its output rules when it is built.
+    because SstSf checks its output rules when it is built.  Raises
+    ValueError for k < 0.
     """
+    check_length(k)
     ctx = _WordContext(s, word)
     keys = []
 

@@ -37,12 +37,18 @@ exact as well: it only adds real positions.
 There is one implementation of the semantics, the numpy grid evaluator
 ``bulk_evaluate``: every free variable is assigned an array of positions,
 and a quantifier adds an axis over its range.  ``evaluate`` is the same
-evaluator on a 0-d grid.
+evaluator on a 0-d grid.  Positions start at 1; both raise ValueError for
+an assigned position below 1.
+
+The grid evaluator lives in the private module ``_fogrid``, the only
+part of the formula code that uses numpy, and the first evaluation imports
+it.  Formulas, their syntax and their measures (``parse_formula``,
+``format_formula``, ``free_variables``, ``quantifier_depth``,
+``witness_margin``) need no numpy, so loading an ``fot`` machine file does
+not load it either.
 """
 
 from typing import NamedTuple
-
-import numpy as np
 
 
 class Eq(NamedTuple):
@@ -147,56 +153,22 @@ def witness_margin(f, word):
     return len(word.prefix) + (2 ** quantifier_depth(f) + 1) * len(word.period)
 
 
-class _Word:
-    """Letter lookup at arbitrary positions of u v^omega, for whole arrays."""
-
-    def __init__(self, word):
-        self.p = len(word.prefix)
-        self.q = len(word.period)
-        self.codes = np.array([ord(a) for a in word.prefix + word.period])
-
-    def has(self, letter, pos):
-        p = self.p
-        index = np.where(pos <= p, pos - 1, p + (pos - p - 1) % self.q)
-        return self.codes[index] == ord(letter)
-
-
-def _grid(f, word, env, margin):
-    if isinstance(f, Eq):
-        return env[f.x] == env[f.y]
-    if isinstance(f, Leq):
-        return env[f.x] <= env[f.y]
-    if isinstance(f, Less):
-        return env[f.x] < env[f.y]
-    if isinstance(f, Label):
-        return word.has(f.letter, env[f.x])
-    if isinstance(f, Not):
-        return ~_grid(f.body, word, env, margin)
-    if isinstance(f, And):
-        return _grid(f.left, word, env, margin) & _grid(f.right, word, env, margin)
-    if isinstance(f, Or):
-        return _grid(f.left, word, env, margin) | _grid(f.right, word, env, margin)
-    if isinstance(f, Implies):
-        return ~_grid(f.left, word, env, margin) | _grid(f.right, word, env, margin)
-    if isinstance(f, (Exists, Forall)):
-        top = max((int(a.max()) for a in env.values()), default=0)
-        inner = {v: a[..., np.newaxis] for v, a in env.items()}
-        inner[f.var] = np.arange(1, top + margin + 1)
-        body = _grid(f.body, word, inner, margin)
-        if isinstance(f, Exists):
-            return body.any(axis=-1)
-        return body.all(axis=-1)
-    raise TypeError("not a formula: %r" % (f,))
+_grid_evaluate = None
 
 
 # evaluate and bulk_evaluate share this body instead of one calling the
 # other, so that a trace of bulk_evaluate sees only the grid evaluations.
 def _evaluate(f, word, env):
+    global _grid_evaluate
     missing = free_variables(f) - set(env)
     if missing:
         raise ValueError("unassigned free variables: %s" % sorted(missing))
-    env = {v: np.asarray(a, dtype=np.int64) for v, a in env.items()}
-    return np.asarray(_grid(f, _Word(word), env, witness_margin(f, word)), dtype=bool)
+    if _grid_evaluate is None:
+        # The first evaluation loads the grid evaluator, and numpy with it.
+        # Later calls skip the import statement, which costs about a third
+        # of evaluating an atomic formula.
+        from ._fogrid import grid_evaluate as _grid_evaluate
+    return _grid_evaluate(f, word, env, witness_margin(f, word))
 
 
 def bulk_evaluate(f, word, env):

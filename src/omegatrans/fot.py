@@ -70,12 +70,14 @@ graph; the output is finite and padded with ``sst.PAD``.  Otherwise:
    Hence a window of G + 3M + q + (2c+4) q positions decides every case:
    if removal is not unique within it, or R passes G + 3M + q before the
    period of step 3 shows, the output is not string-shaped.
+
+Only running touches numpy: ``_label_rows`` and ``_output_lasso`` import
+it, and the formulas are evaluated by ``fologic``'s grid evaluator.
+Building, parsing and printing a machine do not load it.
 """
 
-import numpy as np
-
 from .fologic import bulk_evaluate, evaluate, free_variables, quantifier_depth
-from .sst import PAD, NotInDomain
+from .sst import PAD, NotInDomain, check_length
 
 
 class Fot:
@@ -149,6 +151,8 @@ def _label_rows(t, word, n):
     Unlabeled positions hold the empty string.  Raises ValueError if two
     label formulas of one copy hit the same position.
     """
+    import numpy as np
+
     pos = np.arange(1, n + 1)
     rows = {}
     for c in t.copies:
@@ -175,6 +179,8 @@ def _output_lasso(t, word):
     An empty block means the output is finite.  Raises ValueError when the
     output is not string-shaped.  The module docstring proves the window.
     """
+    import numpy as np
+
     p, q = len(word.prefix), len(word.period)
     formulas = list(t.labels.values()) + list(t.order.values())
     c = 2 ** max(quantifier_depth(f) for f in formulas) + 1
@@ -248,13 +254,14 @@ def run_fot(t, word, k):
     The output is exact: ``_output_lasso`` describes it once per word, and
     the k letters are sliced off, padded with ``sst.PAD`` when the output
     is finite.  Raises NotInDomain if the domain sentence fails, and
-    ValueError if the output is not string-shaped or a position carries
-    two labels of one copy.
+    ValueError for k < 0, or if the output is not string-shaped or a
+    position carries two labels of one copy.
     """
-    if k <= 0:
-        return ""
+    check_length(k)
     if not fot_domain(t, word):
         raise NotInDomain(frozenset(), "rejected: the domain sentence is false")
+    if k == 0:
+        return ""
     prefix, block = _output_lasso(t, word)
     if not block:
         return prefix[:k].ljust(k, PAD)

@@ -36,6 +36,12 @@ from .words import lasso
 PAD = "⊥"
 
 
+def check_length(k):
+    """Raise ValueError for a negative output length k; every runner checks k here."""
+    if k < 0:
+        raise ValueError("output length k must be >= 0, got %d" % k)
+
+
 def parse_rhs(text, variables):
     """Right-hand side text like "aXb" -> (("lit","a"),("var","X"),("lit","b")).
 
@@ -360,8 +366,9 @@ def run_output(t, word, k):
     only the variables the tail's growth reads are computed, and once their
     values after a loop repeat, the output is that block repeated (⊥ if it
     is empty).  Both rules are exact, and the work does not grow with k once
-    the read values repeat.
+    the read values repeat.  Raises ValueError for k < 0.
     """
+    check_length(k)
     ana = analyze_run(t, word)
     if not ana.in_domain:
         raise NotInDomain(ana.infinity)

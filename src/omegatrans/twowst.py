@@ -30,7 +30,7 @@ from .muller import (
     matrix_of_word,
     run_coordinate,
 )
-from .sst import PAD, NotInDomain
+from .sst import PAD, NotInDomain, check_length
 from .words import UPWord, lasso
 
 MARK = "⊢"
@@ -257,8 +257,9 @@ def run_2wst(t, word, k):
     loop followed by the loop's output repeated.  Raises NotInDomain when
     the head does not escape to the right (the run jams, falls off the left
     end or treads in place) or when the states visited forever, those of
-    the loop, are not an accepting set.
+    the loop, are not an accepting set.  Raises ValueError for k < 0.
     """
+    check_length(k)
     trace, outs, loop, why = _travel(_WordContext(t, word), t.initial, 1)
     if loop is None:
         raise NotInDomain(frozenset(), why)

@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 from omegatrans.cli import main
 from omegatrans.fixtures import plain_copier_twowst
@@ -166,6 +169,69 @@ def test_fot_run_at_k_2100_prints_what_the_sst_prints(capsys):
     captured = capsys.readouterr()
     assert captured.out == want
     assert captured.err == ""
+
+
+def test_negative_k_exits_2(capsys):
+    for path in (F1_SST, F1_2WST, F1_FOT):
+        assert main(["run", "-k", "-3", path, "ab#(a)^w"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: output length k must be >= 0, got -3\n"
+        assert main(["run", "-k", "0", path, "ab#(a)^w"]) == 0
+        assert capsys.readouterr().out == "\n"
+    assert main(["compare", F1_2WST, F1_SST, "--corpus", CORPUS, "-k", "-3"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+# Runs in a fresh interpreter, so that no other test has loaded numpy yet.
+LAZY_NUMPY = """
+import contextlib, io, os, sys
+import omegatrans, omegatrans.cli
+from omegatrans.cli import main
+from omegatrans.formats import parse_machine
+
+machines, tmp = sys.argv[1], sys.argv[2]
+sst, twowst, fot = (os.path.join(machines, "f1." + kind) for kind in ("sst", "2wst", "fot"))
+assert "numpy" not in sys.modules, "import"
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+verbs = [
+    ["compile", "2wst-to-sst", twowst, "-o", os.path.join(tmp, "f1.sst-sf")],
+    ["eliminate-la", os.path.join(tmp, "f1.sst-sf"), "-o", os.path.join(tmp, "f1.sst")],
+    ["check-1bounded", sst],
+    ["check-aperiodic", sst],
+    ["check-aperiodic", twowst],
+    ["monoid", sst],
+    ["monoid", twowst],
+    ["compare", twowst, sst, "--sample", "5"],
+    ["run", "-k", "40", twowst, "ab#(a)^w"],
+]
+for argv in verbs:
+    run(argv)
+    assert "numpy" not in sys.modules, argv
+want = run(["run", "-k", "40", sst, "ab#(a)^w"])
+parse_machine(fot)
+assert "numpy" not in sys.modules, "parse f1.fot"
+got = run(["run", "-k", "40", fot, "ab#(a)^w"])
+assert "numpy" in sys.modules, "run f1.fot"
+assert got == want, (got, want)
+"""
+
+
+def test_only_first_order_evaluation_loads_numpy(tmp_path):
+    src = str(MACHINES.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", LAZY_NUMPY, str(MACHINES), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_usage_and_parse_errors_exit_2(capsys):

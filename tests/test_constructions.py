@@ -39,6 +39,7 @@ from omegatrans.sst import (
     run_output,
     sst_monoid,
 )
+from omegatrans.fot import run_fot
 from omegatrans.twowst import LEFT, MARK, RIGHT, STAY, Dfa, TwoWst, run_2wst
 from omegatrans.words import UPWord
 
@@ -483,6 +484,24 @@ def test_run_model_dispatches_on_the_machine_kind():
     assert run_model(mirror_fot(), w, 10) == expect
     with pytest.raises(TypeError, match="no runner"):
         run_model("nope", w, 5)
+
+
+def test_negative_k_is_refused_and_k_0_still_checks_the_domain():
+    w = UPWord("ab#", "a")
+    guarded = twowst_to_sst_sf(mirror_twowst())
+    sources = [(run_output, mirror_sst()), (run_2wst, mirror_twowst()), (run_fot, mirror_fot())]
+    compiled = [(run_output_sst_sf, guarded), (run_output, eliminate_lookaround(guarded))]
+    for run, machine in sources + compiled:
+        for k in (-1, -3):
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                run(machine, w, k)
+        assert run(machine, w, 0) == ""
+        assert run(machine, w, 3) == "baa"
+    # Only the sources reject (a#)^w: the compiled machines accept every
+    # state set (a known defect of twowst_to_sst_sf).
+    for run, machine in sources:
+        with pytest.raises(NotInDomain):
+            run(machine, UPWord("", "a#"), 0)
 
 
 def test_compare_outputs_equal_and_cross_model():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,6 +99,24 @@ def test_free_variables():
 def test_evaluate_requires_assignment():
     with pytest.raises(ValueError):
         fo.evaluate(fo.parse_formula("La(x)"), UPWord("", "a"))
+
+
+def test_positions_below_one_are_refused():
+    w = UPWord("b", "a")
+    label = fo.parse_formula("La(x)")
+    assert not fo.evaluate(label, w, {"x": 1})
+    for x in (0, -5):
+        with pytest.raises(ValueError, match="variable 'x' is assigned position %d" % x):
+            fo.evaluate(label, w, {"x": x})
+    order = fo.parse_formula("x < y")
+    with pytest.raises(ValueError, match="variable 'y' is assigned position 0"):
+        fo.evaluate(order, w, {"x": 2, "y": 0})
+    with pytest.raises(ValueError, match="variable 'x' is assigned position -5"):
+        fo.bulk_evaluate(label, w, {"x": np.array([1, 2, -5])})
+    with pytest.raises(ValueError, match="variable 'y' is assigned position 0"):
+        fo.bulk_evaluate(order, w, {"x": np.arange(1, 4)[:, None],
+                                    "y": np.arange(0, 3)[None, :]})
+    assert fo.bulk_evaluate(label, w, {"x": np.array([], dtype=np.int64)}).shape == (0,)
 
 
 def test_label_and_order_atoms():
