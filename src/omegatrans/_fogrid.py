@@ -12,6 +12,9 @@ import numpy as np
 from .fologic import And, Eq, Exists, Forall, Implies, Label, Leq, Less, Not, Or
 
 
+_INT64 = np.dtype(np.int64)
+
+
 class _Word:
     """Letter lookup at arbitrary positions of u v^omega, for whole arrays."""
 
@@ -57,11 +60,19 @@ def _grid(f, word, env, margin):
 def grid_evaluate(f, word, env, margin):
     """f under the assignments env as a bool array of their broadcast shape.
 
-    margin is ``fologic.witness_margin(f, word)``.  Raises ValueError when a
-    variable is assigned a position below 1.
+    margin is ``fologic.witness_margin(f, word)``.  Raises TypeError when a
+    variable is assigned positions whose dtype is not integer (floats, bools
+    and strings included), and ValueError for a position below 1.
     """
-    env = {v: np.asarray(a, dtype=np.int64) for v, a in env.items()}
+    env = {v: np.asarray(a) for v, a in env.items()}
     for v, a in env.items():
+        # Python ints arrive as int64, so the common case is one identity test.
+        if a.dtype is not _INT64:
+            if a.dtype.kind not in "iu":
+                raise TypeError(
+                    "variable %r is assigned %s positions; positions are integers"
+                    % (v, a.dtype))
+            env[v] = a = a.astype(np.int64)
         # int() of evaluate's 0-d arrays costs a tenth of a reduction.
         low = int(a) if a.ndim == 0 else a.min(initial=1)
         if low < 1:

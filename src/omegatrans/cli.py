@@ -6,9 +6,9 @@ format from formats.py; words are written as PREFIX(PERIOD)^w.
 
 Exit codes: 0 success (or all-equal for compare), 1 a property failed, a
 word was rejected, or a mismatch was found, 2 usage or parse errors, 3 a
-resource limit was hit: a monoid or a construction grew past its --cap
-(CapExceeded).  Every runner is exact and has no limit of its own, the
-first-order runner included.
+resource limit was hit: a monoid, a construction or the 1-boundedness
+search grew past its --cap (CapExceeded).  Every runner is exact and has
+no limit of its own, the first-order runner included.
 """
 
 import argparse
@@ -32,7 +32,14 @@ from .formats import (
 from .fot import Fot
 from .muller import CapExceeded, Dma, dma_monoid, is_aperiodic
 from .outputgraph import build_output_graph
-from .sst import NotInDomain, Sst, is_1_bounded, is_aperiodic_sst, sst_monoid
+from .sst import (
+    NotInDomain,
+    Sst,
+    flow_matrix_direct,
+    is_1_bounded,
+    is_aperiodic_sst,
+    sst_monoid,
+)
 from .twowst import TwoWst, anchored_behavior, is_aperiodic_2wst, twowst_monoid
 from .words import UPWord, format_word, parse_word
 
@@ -150,8 +157,19 @@ def _cmd_check_1bounded(args):
     if verdict:
         print("1-bounded")
         return 0
-    print("not 1-bounded (witness: %s)" % witness)
+    print("not 1-bounded (witness: %s; %s)" % (witness, _count_of_two(m, witness)))
     return 1
+
+
+def _count_of_two(t, word):
+    """The first flow entry of word, in state and variable order, whose count is 2."""
+    rows = flow_matrix_direct(t, word).rows
+    return next(
+        "%s -> %s from state %s reaches 2" % (x, y, p)
+        for (p, x), row in rows.items()
+        for (_, y), (count, _) in row.items()
+        if count >= 2
+    )
 
 
 def _cmd_monoid(args):
@@ -163,7 +181,7 @@ def _cmd_monoid(args):
     else:
         mon = twowst_monoid(m, **_cap_kwargs(args))
     print("size: %d" % len(mon.elements))
-    for element, word in sorted(mon.elements.items(), key=lambda kv: (len(kv[1]), kv[1])):
+    for element, word in mon.elements.items():
         if isinstance(m, TwoWst):
             print(word or "ε")
         else:
@@ -256,7 +274,7 @@ def build_parser():
 
     p = sub.add_parser("check-1bounded", help="decide flow boundedness")
     p.add_argument("machine")
-    p.add_argument("--cap", type=int, help="monoid element cap")
+    p.add_argument("--cap", type=int, help="cap on the sets of copy-path pairs searched")
     p.set_defaults(func=_cmd_check_1bounded)
 
     p = sub.add_parser("monoid", help="print the generated transition monoid")

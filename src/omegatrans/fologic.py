@@ -37,8 +37,9 @@ exact as well: it only adds real positions.
 There is one implementation of the semantics, the numpy grid evaluator
 ``bulk_evaluate``: every free variable is assigned an array of positions,
 and a quantifier adds an axis over its range.  ``evaluate`` is the same
-evaluator on a 0-d grid.  Positions start at 1; both raise ValueError for
-an assigned position below 1.
+evaluator on a 0-d grid.  Positions are integers starting at 1; both
+raise TypeError for positions of any other dtype (floats, bools and
+strings are not read as positions) and ValueError for a position below 1.
 
 The grid evaluator lives in the private module ``_fogrid``, the only
 part of the formula code that uses numpy, and the first evaluation imports

@@ -322,7 +322,8 @@ class Monoid:
     """A generated matrix monoid with shortest generating words.
 
     elements maps each matrix to its shortlex-least generating word (the empty
-    word names the identity).
+    word names the identity), and lists them in shortlex order of those words
+    (generate_monoid proves it).
     """
 
     def __init__(self, elements, identity):
@@ -333,13 +334,26 @@ class Monoid:
         return len(self.elements)
 
     def shortest_words(self):
-        return sorted(self.elements.values(), key=lambda w: (len(w), w))
+        return list(self.elements.values())
 
 
 def generate_monoid(generators, identity, cap=10 ** 6):
     """Close letter matrices under product, breadth-first by word length.
 
-    generators: {letter: matrix}.  Raises CapExceeded past cap elements.
+    generators: {letter: matrix}, the letters single characters.  Raises
+    CapExceeded past cap elements.  Each element is stored with its
+    shortlex-least word, and the elements are inserted in shortlex order of
+    those words, so iterating over them needs no sort.  By induction on the
+    length n: the frontier of length n holds the elements first reached by
+    words of length n, each with its least word, in lexicographic order.
+    Let m be first reached at length n + 1, with least word u·a.  The
+    element of u has least word u: a word u' < u with the same element
+    would give u'·a < u·a with the element m.  It is not reached by a
+    shorter word either, so it sits in the frontier of length n.  The
+    frontier is scanned in lexicographic order with the letters sorted, so
+    the words u·a are produced in lexicographic order, and the first one
+    that yields m is its least word.  New elements therefore enter, and
+    make up the next frontier, in lexicographic order.
     """
     elements = {identity: ""}
     frontier = [(identity, "")]
@@ -381,7 +395,7 @@ def aperiodicity_witness(monoid):
     None means every element satisfies M^n = M^(n+1) for some n, i.e. the
     monoid is counter-free.
     """
-    for m, w in sorted(monoid.elements.items(), key=lambda kv: (len(kv[1]), kv[1])):
+    for m, w in monoid.elements.items():
         if power_cycle_length(m) != 1:
             return w
     return None

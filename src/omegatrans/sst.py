@@ -18,8 +18,11 @@ destination, unions the visited sets and multiplies the blocks; the
 machines are deterministic, so a row of the classical flow matrix over
 (state, variable) pairs has one target state, and the block is that row
 grid.  Counts saturate at 2 ("two means at least two"), which keeps the
-monoid finite while still deciding whether the machine is 1-bounded (no
-count ever reaches 2) and aperiodic.  `flows` keeps a count exact, as
+monoid finite while still deciding whether it is aperiodic.  Whether the
+machine is 1-bounded (no count ever reaches 2) is decided without the
+monoid: is_1_bounded searches the sets of pairs of copy paths a word
+reaches, at most one per monoid element and in practice far fewer, and
+returns the same shortlex-least witness.  `flows` keeps a count exact, as
 one unsaturated flow matrix of the factor.  The output-structure queries
 of module outputgraph (`useful`, `path_conditions`) need no counts: a
 count is at least 1 exactly when its target is in a reach set, and
@@ -29,7 +32,14 @@ tuple of the state run, as the entry algebra of module muller describes
 it.
 """
 
-from .muller import BOT, SummarySpace, aperiodicity_witness, generate_monoid
+from .muller import (
+    BOT,
+    CapExceeded,
+    SummarySpace,
+    _Memo,
+    aperiodicity_witness,
+    generate_monoid,
+)
 from .words import lasso
 
 
@@ -429,11 +439,78 @@ def sst_monoid(t, cap=10 ** 6):
 
 
 def is_1_bounded(t, cap=10 ** 6):
-    """(verdict, witness): witness is a word some of whose flow counts reach 2."""
-    mon = sst_monoid(t, cap)
-    for m, w in sorted(mon.elements.items(), key=lambda kv: (len(kv[1]), kv[1])):
-        if m.max_count() >= 2:
-            return False, w
+    """(verdict, witness): witness is the shortlex-least word some flow count
+    of which reaches 2, or None when no count ever does.
+
+    A copy path of x from state p follows one occurrence of its current
+    variable per letter: reading a in state q, a copy in y moves to the
+    occurrence (z, i) of y at index i of the right-hand side for z in the
+    update at (q, a).  The exact count of x inside y after w is the number
+    of paths of w from x ending in y, so it reaches 2 exactly when two paths
+    that differ at some occurrence end in the same variable.  The search
+    therefore runs on nodes (q, y1, y2, split): two paths of the word read
+    so far that started at one variable of one state, now sit in y1 and y2
+    at state q, and have (split) or have not yet used different occurrences.
+    Paths that have not split sit in one variable, and paths in different
+    variables have split.  The set of nodes after w starts as
+    {(p, x, x, False)} over every state and variable, and a letter maps each
+    node to all pairs of occurrences of y1 and y2, with split set once the
+    pair differs.  Some count of w reaches 2 iff its set holds a node
+    (q, y, y, True).
+
+    The set of w is a function of w's flow element, counts saturated at 2.
+    Over the source states p whose run on w ends in q and their variables
+    x: (q, y, y, False) is in it iff some count of x into y is at least 1,
+    (q, y1, y2, True) with y1 != y2 iff the counts of one x into y1 and y2
+    are both at least 1, and (q, y, y, True) iff some count into y is 2.  The set of w·u depends only on the set of w
+    and on u, so the breadth-first search in sorted letter order keeps only
+    the first word of each set, as generate_monoid does with elements, and
+    meets every set first at its shortlex-least word.  The first set with a
+    count of 2 thus names the shortlex-least word whose flow element has
+    one, the witness a scan of sst_monoid in shortlex order finds, and the
+    search stops there.  It visits at most one set per element of the flow
+    monoid, so cap bounds the visited sets and CapExceeded is raised when
+    the search would visit more.  The graph has |Q|·|X|²·2 nodes
+    (Weber–Seidl's square automaton, TCS 1991, applied to the copy paths of
+    Alur–Filiot–Trivedi's bounded copying, LICS 2012).
+    """
+    moves = {}
+    for (q, a), subst in t.update.items():
+        occurrences = {y: [] for y in t.variables}
+        for z, rhs in subst.items():
+            for i, (kind, v) in enumerate(rhs):
+                if kind == "var":
+                    occurrences[v].append((z, i))
+        moves[q, a] = (t.delta[(q, a)], occurrences)
+
+    def successors(key):
+        (q, y1, y2, split), a = key
+        r, occurrences = moves[q, a]
+        return frozenset(
+            (r, o1[0], o2[0], split or o1 != o2)
+            for o1 in occurrences[y1] for o2 in occurrences[y2])
+
+    step = _Memo(successors, {})
+    start = frozenset((p, x, x, False) for p in t.states for x in t.variables)
+    seen = {start}
+    frontier = [(start, "")]
+    letters = sorted(t.alphabet)
+    while frontier:
+        new_frontier = []
+        for nodes, w in frontier:
+            for a in letters:
+                nodes2 = frozenset().union(*(step[node, a] for node in nodes))
+                if nodes2 in seen:
+                    continue
+                if len(seen) >= cap:
+                    raise CapExceeded(
+                        "1-boundedness search exceeded its cap of %d sets of copy-path pairs"
+                        % cap)
+                if any(split and y1 == y2 for _, y1, y2, split in nodes2):
+                    return False, w + a
+                seen.add(nodes2)
+                new_frontier.append((nodes2, w + a))
+        frontier = new_frontier
     return True, None
 
 

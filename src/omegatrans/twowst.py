@@ -353,7 +353,7 @@ def realizable_contexts(a, cap=10 ** 6):
     by lookahead guards.  Enumerated over lasso words built from shortest
     representatives of a's transition monoid.
     """
-    words_ = sorted(dma_monoid(a, cap).elements.values(), key=lambda w: (len(w), w))
+    words_ = dma_monoid(a, cap).shortest_words()
     out = set()
     for u in words_:
         for v in words_:

@@ -103,6 +103,19 @@ def test_check_verbs_exit_by_verdict(capsys):
     assert main(["check-1bounded", F1_SST]) == 0
 
 
+def test_check_1bounded_names_the_count_that_reaches_2(capsys):
+    assert main(["check-1bounded", SETTLING_SST]) == 1
+    assert capsys.readouterr().out == (
+        "not 1-bounded (witness: ab; X -> Y from state t reaches 2)\n")
+    assert main(["check-1bounded", F1_SST]) == 0
+    assert capsys.readouterr().out == "1-bounded\n"
+    assert main(["check-1bounded", SETTLING_SST, "--cap", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 1-boundedness search exceeded its cap of 1 sets of copy-path pairs\n")
+
+
 def test_monoid_lists_elements_shortlex(capsys):
     assert main(["monoid", SETTLING_DMA]) == 0
     lines = capsys.readouterr().out.splitlines()

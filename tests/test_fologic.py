@@ -119,6 +119,24 @@ def test_positions_below_one_are_refused():
     assert fo.bulk_evaluate(label, w, {"x": np.array([], dtype=np.int64)}).shape == (0,)
 
 
+def test_non_integer_positions_are_refused():
+    w = UPWord("ab", "c")
+    label = fo.parse_formula("La(x)")
+    for x in (1.9, True, "2", np.float64(1.0)):
+        with pytest.raises(TypeError, match="variable 'x' is assigned"):
+            fo.evaluate(label, w, {"x": x})
+    order = fo.parse_formula("x < y")
+    for ys in (np.array([1.0, 2.0]), np.array([True, False]), ["1", "2"]):
+        with pytest.raises(TypeError, match="variable 'y' is assigned"):
+            fo.bulk_evaluate(order, w, {"x": np.arange(1, 3), "y": ys})
+    # every integer dtype is read as positions
+    assert fo.evaluate(label, w, {"x": np.uint8(1)})
+    assert fo.bulk_evaluate(label, w, {"x": np.array([1, 2, 5], dtype=np.uint64)}).tolist() == [
+        True, False, False]
+    assert fo.bulk_evaluate(order, w, {"x": [1, 3], "y": np.array([2, 2], dtype=np.int8)}).tolist() == [
+        True, False]
+
+
 def test_label_and_order_atoms():
     w = UPWord("ab#", "a")
     assert fo.evaluate(fo.parse_formula("L#(x)"), w, {"x": 3})

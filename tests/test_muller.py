@@ -1,10 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegatrans.words import UPWord
 from omegatrans import muller as mu
 from omegatrans.muller import Dma
-from omegatrans.fixtures import settling_loops_dma, last_letter_dma
+from omegatrans.fixtures import (
+    alternating_copier_twowst,
+    last_letter_dma,
+    mirror_twowst,
+    plain_copier_twowst,
+    random_copyless_sst,
+    settling_loops_dma,
+)
+from omegatrans.sst import sst_monoid
+from omegatrans.twowst import twowst_monoid
 
 
 def entries_of(m):
@@ -257,3 +268,22 @@ def accepts_via_matrices(d, word):
 def test_language_monoid_consistency(d, u, v):
     word = UPWord(u, v)
     assert d.accepts(word) == accepts_via_matrices(d, word)
+
+
+def _in_shortlex_order(mon):
+    words = list(mon.elements.values())
+    return words == sorted(words, key=lambda w: (len(w), w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dmas())
+def test_dma_monoids_list_their_elements_in_shortlex_order(d):
+    assert _in_shortlex_order(mu.dma_monoid(d))
+
+
+def test_flow_and_two_way_monoids_list_their_elements_in_shortlex_order():
+    rng = random.Random(12)
+    for _ in range(100):
+        assert _in_shortlex_order(sst_monoid(random_copyless_sst(rng)))
+    for t in (mirror_twowst(), alternating_copier_twowst(), plain_copier_twowst()):
+        assert _in_shortlex_order(twowst_monoid(t))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegatrans.muller import BOT, NEUTRAL, run_coordinate
+from omegatrans.muller import BOT, NEUTRAL, CapExceeded, run_coordinate
 from omegatrans.fixtures import (
     domain_words,
     mirror_sst,
@@ -220,6 +220,93 @@ def test_mirror_sst_is_1_bounded():
 
 def test_settling_loops_sst_is_not_1_bounded():
     assert is_1_bounded(settling_loops_sst()) == (False, "ab")
+
+
+def _monoid_scan(t):
+    """The 1-boundedness oracle: the flow monoid in shortlex order of its
+    words, scanned for the first element with a count of 2."""
+    elements = sorted(sst_monoid(t).elements.items(), key=lambda kv: (len(kv[1]), kv[1]))
+    for m, w in elements:
+        if m.max_count() >= 2:
+            return False, w
+    return True, None
+
+
+def random_copyful_sst(rng, max_states=3, max_vars=3, alphabet="ab"):
+    """A machine with no output rule some update of which copies a variable.
+
+    Each right-hand side has up to two items, a variable with probability
+    0.6 and a letter otherwise, so copies, drops and merges are all common.
+    """
+    while True:
+        n = rng.randint(1, max_states)
+        variables = ("X", "Y", "Z")[: rng.randint(1, max_vars)]
+        delta, update = {}, {}
+        for q in range(n):
+            for a in alphabet:
+                delta[(q, a)] = rng.randrange(n)
+                update[(q, a)] = {
+                    x: tuple(
+                        ("var", rng.choice(variables)) if rng.random() < 0.6
+                        else ("lit", rng.choice(alphabet))
+                        for _ in range(rng.choice((0, 1, 1, 1, 2)))
+                    )
+                    for x in variables
+                }
+        if not all(is_copyless(s) for s in update.values()):
+            return Sst(range(n), alphabet, 0, delta, variables, update, {})
+
+
+def test_is_1_bounded_agrees_with_the_flow_monoid_scan():
+    rng = random.Random(5)
+    verdicts = {True: 0, False: 0}
+    for n in range(300):
+        t = random_copyful_sst(rng)
+        got = is_1_bounded(t)
+        assert got == _monoid_scan(t), n
+        verdicts[got[0]] += 1
+    # seed 5 gives 118 1-bounded machines and 182 that are not, with
+    # witnesses of length 1 (146), 2 (30) and 3 (6)
+    assert min(verdicts.values()) >= 100, verdicts
+    rng = random.Random(12)
+    machines = [random_copyless_sst(rng) for _ in range(100)]
+    machines += [mirror_sst(), settling_loops_sst(), output_graph_demo_sst()]
+    for t in machines:
+        assert is_1_bounded(t) == _monoid_scan(t)
+
+
+def _one_state_sst(update, alphabet):
+    delta = {("q", a): "q" for a in alphabet}
+    return Sst(["q"], alphabet, "q", delta, ("X", "Y"), update, {})
+
+
+def test_copy_paths_that_split_and_never_rejoin_stay_1_bounded():
+    # a copies X into Y; afterwards X grows at the right, Y at the left, and
+    # no update ever puts the two copies into one variable again
+    split = {
+        ("q", "a"): {"Y": (("var", "X"),)},
+        ("q", "b"): {"X": parse_rhs("Xb", "XY"), "Y": parse_rhs("aY", "XY")},
+    }
+    t = _one_state_sst(split, "ab")
+    assert not is_copyless(t.update[("q", "a")])
+    assert is_1_bounded(t) == (True, None) == _monoid_scan(t)
+    # the same machine with a letter that joins X and Y in X
+    split[("q", "c")] = {"X": parse_rhs("XY", "XY")}
+    t = _one_state_sst(split, "abc")
+    assert is_1_bounded(t) == (False, "ac") == _monoid_scan(t)
+    assert flow_matrix_direct(t, "ac").entry(("q", "X"), ("q", "X"))[0] == 2
+    # joining two contents that never were one copy counts 1 each
+    t = _one_state_sst({("q", "c"): {"X": parse_rhs("XY", "XY"), "Y": ()}}, "c")
+    assert is_copyless(t.update[("q", "c")])
+    assert is_1_bounded(t) == (True, None)
+
+
+def test_is_1_bounded_cap_counts_visited_sets():
+    t = settling_loops_sst()
+    for cap in (1, 2):
+        with pytest.raises(CapExceeded, match="cap of %d sets" % cap):
+            is_1_bounded(t, cap=cap)
+    assert is_1_bounded(t, cap=len(sst_monoid(t))) == (False, "ab")
 
 
 def test_mirror_sst_is_aperiodic():
