@@ -5,7 +5,8 @@ graph, compile, eliminate-la.  Machine files use the `kind:`-headed text
 format from formats.py; words are written as PREFIX(PERIOD)^w.
 
 Exit codes: 0 success (or all-equal for compare), 1 a property failed, a
-word was rejected, or a mismatch was found, 2 usage or parse errors, 3 a
+word was rejected, or a mismatch was found, 2 usage or parse errors (a file
+of a kind the verb cannot take, a letter outside the alphabet included), 3 a
 resource limit was hit: a monoid, a construction or the 1-boundedness
 search grew past its --cap (CapExceeded).  Every runner is exact and has
 no limit of its own, the first-order runner included.
@@ -16,7 +17,6 @@ import random
 import sys
 
 from .constructions import (
-    SstSf,
     compare_outputs,
     eliminate_lookaround,
     run_model,
@@ -25,22 +25,21 @@ from .constructions import (
 from .fixtures import random_upword
 from .formats import (
     FormatError,
+    kind_name,
     parse_corpus,
     parse_machine,
     print_machine,
 )
-from .fot import Fot
-from .muller import CapExceeded, Dma, dma_monoid, is_aperiodic
+from .muller import CapExceeded, dma_monoid, is_aperiodic
 from .outputgraph import build_output_graph
 from .sst import (
     NotInDomain,
-    Sst,
     flow_matrix_direct,
     is_1_bounded,
     is_aperiodic_sst,
     sst_monoid,
 )
-from .twowst import TwoWst, anchored_behavior, is_aperiodic_2wst, twowst_monoid
+from .twowst import anchored_behavior, is_aperiodic_2wst, twowst_monoid
 from .words import UPWord, format_word, parse_word
 
 
@@ -50,22 +49,20 @@ def emit_dot(g, path):
         handle.write(g.to_dot())
 
 
-def _load(path, want=None, what="machine"):
+# the kinds run_model has a runner for
+_RUNNABLE = ("sst", "sst-sf", "2wst", "fot")
+_APERIODIC = {"dma": is_aperiodic, "sst": is_aperiodic_sst, "2wst": is_aperiodic_2wst}
+_MONOID = {"dma": dma_monoid, "sst": sst_monoid, "2wst": twowst_monoid}
+
+
+def _load(path, want=None):
+    """The machine in path; FormatError unless its kind is one of want's names."""
     m = parse_machine(path)
-    if want is not None and not isinstance(m, want):
-        names = want.__name__ if isinstance(want, type) else "/".join(
-            w.__name__ for w in want
-        )
+    if want is not None and kind_name(m) not in want:
         raise FormatError(
-            "%s is a %s file; this verb needs %s" % (path, _kind_name(m), names)
+            "%s is a %s file; this verb needs %s" % (path, kind_name(m), "/".join(want))
         )
     return m
-
-
-def _kind_name(m):
-    return {
-        Dma: "dma", Sst: "sst", TwoWst: "2wst", Fot: "fot", SstSf: "sst-sf"
-    }.get(type(m), type(m).__name__)
 
 
 def _write_or_print(text, path):
@@ -77,7 +74,7 @@ def _write_or_print(text, path):
 
 
 def _cmd_run(args):
-    m = _load(args.machine)
+    m = _load(args.machine, want=_RUNNABLE)
     w = parse_word(args.word)
     try:
         print(run_model(m, w, args.k))
@@ -105,8 +102,8 @@ def _sample_corpus(m, count, seed):
 
 
 def _cmd_compare(args):
-    m1 = _load(args.machine1)
-    m2 = _load(args.machine2)
+    m1 = _load(args.machine1, want=_RUNNABLE)
+    m2 = _load(args.machine2, want=_RUNNABLE)
     if args.corpus is not None:
         corpus = parse_corpus(args.corpus)
     else:
@@ -137,13 +134,8 @@ def _cap_kwargs(args):
 
 
 def _cmd_check_aperiodic(args):
-    m = _load(args.machine, want=(Dma, Sst, TwoWst))
-    if isinstance(m, Dma):
-        verdict, witness = is_aperiodic(m, **_cap_kwargs(args))
-    elif isinstance(m, Sst):
-        verdict, witness = is_aperiodic_sst(m, **_cap_kwargs(args))
-    else:
-        verdict, witness = is_aperiodic_2wst(m, **_cap_kwargs(args))
+    m = _load(args.machine, want=_APERIODIC)
+    verdict, witness = _APERIODIC[kind_name(m)](m, **_cap_kwargs(args))
     if verdict:
         print("aperiodic")
         return 0
@@ -152,7 +144,7 @@ def _cmd_check_aperiodic(args):
 
 
 def _cmd_check_1bounded(args):
-    m = _load(args.machine, want=Sst)
+    m = _load(args.machine, want=("sst",))
     verdict, witness = is_1_bounded(m, **_cap_kwargs(args))
     if verdict:
         print("1-bounded")
@@ -173,16 +165,11 @@ def _count_of_two(t, word):
 
 
 def _cmd_monoid(args):
-    m = _load(args.machine, want=(Dma, Sst, TwoWst))
-    if isinstance(m, Dma):
-        mon = dma_monoid(m, **_cap_kwargs(args))
-    elif isinstance(m, Sst):
-        mon = sst_monoid(m, **_cap_kwargs(args))
-    else:
-        mon = twowst_monoid(m, **_cap_kwargs(args))
+    m = _load(args.machine, want=_MONOID)
+    mon = _MONOID[kind_name(m)](m, **_cap_kwargs(args))
     print("size: %d" % len(mon.elements))
     for element, word in mon.elements.items():
-        if isinstance(m, TwoWst):
+        if kind_name(m) == "2wst":
             print(word or "ε")
         else:
             print("%s: %r" % (word or "ε", element))
@@ -190,14 +177,14 @@ def _cmd_monoid(args):
 
 
 def _cmd_behavior(args):
-    t = _load(args.machine, want=TwoWst)
-    for a in args.factor:
-        if a not in t.alphabet:
-            raise FormatError("letter %r is not in the machine's alphabet" % a)
+    t = _load(args.machine, want=("2wst",))
     if args.continuation is not None:
         continuation = parse_word(args.continuation)
     else:
         continuation = UPWord("", t.alphabet[0])
+    for a in args.factor + continuation.prefix + continuation.period:
+        if a not in t.alphabet:
+            raise FormatError("letter %r is not in the machine's alphabet" % a)
     enter_left, enter_right = anchored_behavior(t, args.factor, continuation)
     order = {q: i for i, q in enumerate(t.states)}
     for name, table in (("enter-left", enter_left), ("enter-right", enter_right)):
@@ -208,7 +195,7 @@ def _cmd_behavior(args):
 
 
 def _cmd_graph(args):
-    m = _load(args.machine, want=Sst)
+    m = _load(args.machine, want=("sst",))
     w = parse_word(args.word)
     try:
         g = build_output_graph(m, w, args.horizon)
@@ -223,7 +210,7 @@ def _cmd_graph(args):
 
 
 def _cmd_compile(args):
-    t = _load(args.machine, want=TwoWst)
+    t = _load(args.machine, want=("2wst",))
     s = twowst_to_sst_sf(t, **_cap_kwargs(args))
     text = print_machine(s)
     _write_or_print(text, args.output)
@@ -233,7 +220,7 @@ def _cmd_compile(args):
 
 
 def _cmd_eliminate(args):
-    s = _load(args.machine, want=SstSf)
+    s = _load(args.machine, want=("sst-sf",))
     elim = eliminate_lookaround(s, **_cap_kwargs(args))
     text = print_machine(elim)
     _write_or_print(text, args.output)

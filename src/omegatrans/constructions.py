@@ -21,7 +21,7 @@ from collections import deque, namedtuple
 from .fot import Fot, run_fot
 from .muller import CapExceeded
 from .sst import (PAD, NotInDomain, Sst, check_length, check_output_shape, is_copyless,
-                  run_output, stream_output)
+                  run_output, stream_output, streaming_fields)
 from .twowst import LEFT, MARK, RIGHT, STAY, TwoWst, _WordContext, guarded_row, run_2wst
 from .words import UPWord, first_divergence, lasso
 
@@ -32,15 +32,15 @@ class SstSf:
     delta and update key on (state, behind, letter, ahead); behind is a
     lookbehind state or None for "any", ahead a lookahead state or None.
     delta may be partial: a position where no row fires rejects the word,
-    one where several fire is an error caught at run time.  Every update
-    row must be copyless, and the output rules keep their shape as on a
-    plain Sst (sst.check_output_shape).  start_values lets variables begin
-    with non-empty content; a plain Sst always starts empty, so
-    eliminate_lookaround writes them as literals on its first transition.
+    one where several fire is an error caught at run time.  The variables,
+    updates and output rules F are checked by sst.streaming_fields, as on a
+    plain Sst, and every update row must be copyless.  start_values lets
+    variables begin with non-empty content; a plain Sst always starts empty,
+    so eliminate_lookaround writes them as literals on its first transition.
     """
 
     def __init__(self, states, alphabet, initial, delta, variables, update,
-                 output, lookahead=None, lookbehind=None, start_values=None):
+                 F, lookahead=None, lookbehind=None, start_values=None):
         self.states = tuple(states)
         self.alphabet = tuple(alphabet)
         self.initial = initial
@@ -48,9 +48,6 @@ class SstSf:
         self.lookbehind = lookbehind
         if initial not in self.states:
             raise ValueError("initial state %r not a state" % (initial,))
-        self.variables = tuple(variables)
-        if len(set(self.variables)) != len(self.variables) or not self.variables:
-            raise ValueError("variables must be distinct and non-empty")
         self.delta = dict(delta)
         self._by_qa = {}
         for key, q2 in self.delta.items():
@@ -66,32 +63,12 @@ class SstSf:
                 if lookahead is None or p not in lookahead.states:
                     raise ValueError("unknown lookahead guard %r" % (p,))
             self._by_qa.setdefault((q, a), []).append((r, p, key))
-        self.update = {}
-        for key in self.delta:
-            subst = dict(update.get(key, {}))
-            for x, rhs in subst.items():
-                if x not in self.variables:
-                    raise ValueError("update at %r writes unknown variable %r" % (key, x))
-                for item in rhs:
-                    if item[0] == "var" and item[1] not in self.variables:
-                        raise ValueError(
-                            "update at %r reads unknown variable %r" % (key, item[1])
-                        )
-            for x in self.variables:
-                subst.setdefault(x, (("var", x),))
+        self.variables, self.update, self.F, self.muller_sets = streaming_fields(
+            self.states, self.delta, variables, update, F
+        )
+        for key, subst in self.update.items():
             if not is_copyless(subst):
                 raise ValueError("update at %r is not copyless" % (key,))
-            self.update[key] = subst
-        self.output = {frozenset(P): tuple(seq) for P, seq in output.items()}
-        for P, seq in self.output.items():
-            if not P or not P <= set(self.states):
-                raise ValueError("bad output state set %r" % (set(P),))
-            if not seq or len(set(seq)) != len(seq) or not set(seq) <= set(self.variables):
-                raise ValueError("bad output sequence for %r" % (set(P),))
-        self.muller_sets = tuple(
-            sorted(self.output, key=lambda P: tuple(sorted(map(str, P))))
-        )
-        check_output_shape(self.output, self.delta, self.update)
         self.start_values = {x: "" for x in self.variables}
         for x, v in (start_values or {}).items():
             if x not in self.variables:
@@ -137,9 +114,9 @@ def _fire(s, ctx, q, col):
 def _output_rule(s, states):
     """Output rule of the states a run visits forever; NotInDomain without one."""
     infinity = frozenset(states)
-    if infinity not in s.output:
+    if infinity not in s.F:
         raise NotInDomain(infinity)
-    return s.output[infinity]
+    return s.F[infinity]
 
 
 def run_output_sst_sf(s, word, k):
@@ -692,7 +669,7 @@ def eliminate_lookaround(s, cap=4096):
         slots = sorted({ranks(laps[col])[walk[(col - 1) % len(walk)][1]]
                         for col in range(entry, len(laps))})
         for j in slots:
-            seq2 = tuple(_slot(x, j) for x in s.output[P])
+            seq2 = tuple(_slot(x, j) for x in s.F[P])
             try:
                 check_output_shape({Pprime: seq2}, delta2, update2)
             except ValueError:

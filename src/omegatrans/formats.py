@@ -6,13 +6,18 @@ with "#" are skipped.  The kinds:
     dma     states:/initial:/alphabet:/delta: q,a -> q'/muller: {q} {r}
     dfa     like dma without the muller line (used embedded, for lookbehind)
     sst     adds vars:, update: q,a: X := aXb; Y := YX, output: {q} -> x z
-    sst-sf  four-part keys with "_" for an absent guard, optional start: lines
-    2wst    trans: q, r, a, p -> q', "out", +1|0|-1 with the same "_" rule
+    sst-sf  the sst format with guarded keys q, r, a, p in its delta: and
+            update: lines, "_" for an absent guard, and optional start: lines
+    2wst    trans: q, r, a, p -> q', "out", +1|0|-1 with the same guarded keys
     fot     alphabet:/copies:/dom:/pos: c,g: formula/ord: c,d: formula
 
 2wst and sst-sf files may end with `lookbehind:` / `lookahead:` sections,
-each holding an embedded dfa / dma block.  Identity update entries are left
-out when printing and filled back in by the constructors when parsing, so
+each holding an embedded dfa / dma block.  One table, KINDS, pairs each kind
+name with its class, parser and printer.  Transition tables are exact: a
+key outside states x alphabet (or, for guarded kinds, outside the machine's
+states, letters and guard states) or an update for a transition that does
+not exist is refused.  Identity update entries are left out when printing
+and filled back in by the constructors when parsing, so
 parse_machine_text(print_machine(m)) rebuilds m field for field.
 
 The format spells states and variables as bare tokens (letters, digits and
@@ -22,7 +27,9 @@ states to s0, s1, ... first.  All-digit tokens are read back as ints.
 """
 
 import re
+from collections import namedtuple
 
+from .constructions import SstSf
 from .fologic import format_formula, parse_formula
 from .fot import Fot
 from .muller import Dma
@@ -134,18 +141,31 @@ def _parse_header(fields):
     return states, initial, alphabet
 
 
-def _parse_delta2(fields, states, alphabet):
-    delta = {}
-    for lineno, rest in fields.get("delta", []):
+def _pair_key(text, lineno):
+    parts = text.split(",")
+    if len(parts) != 2:
+        _fail(lineno, "expected 'q,a', got %r" % text)
+    return _token(parts[0], lineno), _letter(parts[1], lineno)
+
+
+def _guarded_key(text, lineno):
+    parts = text.split(",")
+    if len(parts) != 4:
+        _fail(lineno, "expected 'q, r, a, p', got %r" % text)
+    return (_token(parts[0], lineno), _guard_token(parts[1], lineno),
+            _letter(parts[2], lineno), _guard_token(parts[3], lineno))
+
+
+def _parse_table(fields, directive, read_key, read_target):
+    """{key: target} from the `directive: key -> target` lines."""
+    table = {}
+    for lineno, rest in fields.get(directive, []):
         lhs, rhs = _split_arrow(rest, lineno)
-        parts = lhs.split(",")
-        if len(parts) != 2:
-            _fail(lineno, "expected 'q,a' before '->', got %r" % lhs)
-        key = (_token(parts[0], lineno), _letter(parts[1], lineno))
-        if key in delta:
+        key = read_key(lhs, lineno)
+        if key in table:
             _fail(lineno, "duplicate transition for %r" % (key,))
-        delta[key] = _token(rhs, lineno)
-    return delta
+        table[key] = read_target(rhs, lineno)
+    return table
 
 
 def _parse_muller(fields):
@@ -184,69 +204,33 @@ def _parse_output(fields, variables):
     return out
 
 
-def _parse_dma(fields):
+def _parse_automaton(kind, fields, sections):
     states, initial, alphabet = _parse_header(fields)
-    return Dma(states, alphabet, initial, _parse_delta2(fields, states, alphabet),
-               _parse_muller(fields))
+    delta = _parse_table(fields, "delta", _pair_key, _token)
+    if kind.cls is Dfa:
+        return Dfa(states, alphabet, initial, delta)
+    return Dma(states, alphabet, initial, delta, _parse_muller(fields))
 
 
-def _parse_dfa(fields):
+def _parse_streaming(kind, fields, sections):
+    """An sst, or an sst-sf: the same lines with guarded keys, plus start: lines."""
     states, initial, alphabet = _parse_header(fields)
-    return Dfa(states, alphabet, initial, _parse_delta2(fields, states, alphabet))
-
-
-def _parse_vars(fields):
-    lineno, text = _one(fields, "vars")
-    return tuple(text.split())
-
-
-def _parse_sst(fields):
-    states, initial, alphabet = _parse_header(fields)
-    variables = _parse_vars(fields)
-    delta = _parse_delta2(fields, states, alphabet)
+    _, vars_text = _one(fields, "vars")
+    variables = tuple(vars_text.split())
+    read_key = _guarded_key if kind.guarded else _pair_key
+    delta = _parse_table(fields, "delta", read_key, _token)
     update = {}
     for lineno, rest in fields.get("update", []):
-        if ":" not in rest:
-            _fail(lineno, "expected 'q,a: assignments', got %r" % rest)
-        keypart, body = rest.split(":", 1)
-        parts = keypart.split(",")
-        if len(parts) != 2:
-            _fail(lineno, "expected 'q,a' before ':', got %r" % keypart)
-        key = (_token(parts[0], lineno), _letter(parts[1], lineno))
+        head, colon, body = rest.partition(":")
+        if not colon:
+            _fail(lineno, "expected 'key: assignments', got %r" % rest)
+        key = read_key(head, lineno)
         if key in update:
             _fail(lineno, "duplicate update for %r" % (key,))
         update[key] = _parse_assignments(body, variables, lineno)
-    return Sst(states, alphabet, initial, delta, variables, update,
-               _parse_output(fields, variables))
-
-
-def _parse_guarded_key(keypart, lineno):
-    parts = keypart.split(",")
-    if len(parts) != 4:
-        _fail(lineno, "expected 'q, r, a, p', got %r" % keypart)
-    return (_token(parts[0], lineno), _guard_token(parts[1], lineno),
-            _letter(parts[2], lineno), _guard_token(parts[3], lineno))
-
-
-def _parse_sst_sf(fields, sections):
-    from .constructions import SstSf
-
-    states, initial, alphabet = _parse_header(fields)
-    variables = _parse_vars(fields)
-    delta = {}
-    for lineno, rest in fields.get("delta", []):
-        lhs, rhs = _split_arrow(rest, lineno)
-        key = _parse_guarded_key(lhs, lineno)
-        if key in delta:
-            _fail(lineno, "duplicate transition for %r" % (key,))
-        delta[key] = _token(rhs, lineno)
-    update = {}
-    for lineno, rest in fields.get("update", []):
-        head, _, body = rest.partition(":")
-        key = _parse_guarded_key(head, lineno)
-        if key in update:
-            _fail(lineno, "duplicate update for %r" % (key,))
-        update[key] = _parse_assignments(body, variables, lineno)
+    rules = _parse_output(fields, variables)
+    if not kind.guarded:
+        return Sst(states, alphabet, initial, delta, variables, update, rules)
     start_values = {}
     for lineno, rest in fields.get("start", []):
         if ":=" not in rest:
@@ -254,8 +238,7 @@ def _parse_sst_sf(fields, sections):
         name, value = rest.split(":=", 1)
         value = value.strip()
         start_values[name.strip()] = "" if value == "ε" else value
-    return SstSf(states, alphabet, initial, delta, variables, update,
-                 _parse_output(fields, variables),
+    return SstSf(states, alphabet, initial, delta, variables, update, rules,
                  lookahead=sections.get("lookahead"),
                  lookbehind=sections.get("lookbehind"),
                  start_values=start_values or None)
@@ -264,36 +247,29 @@ def _parse_sst_sf(fields, sections):
 _MOVES = {"+1": RIGHT, "1": RIGHT, "0": STAY, "-1": LEFT}
 
 
-def _parse_2wst(fields, sections):
+def _move_target(text, lineno):
+    """(state, output, move) from a 2wst line's q', "out", move."""
+    first = text.find('"')
+    last = text.rfind('"')
+    if first < 0 or last == first:
+        _fail(lineno, "expected a quoted output in %r" % text)
+    state = _token(text[:first].rstrip().rstrip(","), lineno)
+    move_text = text[last + 1:].lstrip().lstrip(",").strip()
+    if move_text not in _MOVES:
+        _fail(lineno, "move must be +1, 0 or -1, got %r" % move_text)
+    return state, text[first + 1:last], _MOVES[move_text]
+
+
+def _parse_2wst(kind, fields, sections):
     states, initial, alphabet = _parse_header(fields)
-    delta = {}
-    for lineno, rest in fields.get("trans", []):
-        lhs, rhs = _split_arrow(rest, lineno)
-        parts = lhs.split(",")
-        if len(parts) != 4:
-            _fail(lineno, "expected 'q, r, a, p' before '->', got %r" % lhs)
-        letter = parts[2].strip()
-        if letter != MARK:
-            letter = _letter(letter, lineno)
-        key = (_token(parts[0], lineno), _guard_token(parts[1], lineno),
-               letter, _guard_token(parts[3], lineno))
-        first = rhs.find('"')
-        last = rhs.rfind('"')
-        if first < 0 or last == first:
-            _fail(lineno, "expected a quoted output in %r" % rhs)
-        state = _token(rhs[:first].rstrip().rstrip(","), lineno)
-        move_text = rhs[last + 1:].lstrip().lstrip(",").strip()
-        if move_text not in _MOVES:
-            _fail(lineno, "move must be +1, 0 or -1, got %r" % move_text)
-        if key in delta:
-            _fail(lineno, "duplicate transition for %r" % (key,))
-        delta[key] = (state, rhs[first + 1:last], _MOVES[move_text])
-    return TwoWst(states, alphabet, initial, delta, _parse_muller(fields),
+    return TwoWst(states, alphabet, initial,
+                  _parse_table(fields, "trans", _guarded_key, _move_target),
+                  _parse_muller(fields),
                   lookahead=sections.get("lookahead"),
                   lookbehind=sections.get("lookbehind"))
 
 
-def _parse_fot(fields):
+def _parse_fot(kind, fields, sections):
     lineno, alphabet = _one(fields, "alphabet")
     lineno, copies_text = _one(fields, "copies")
     if not copies_text.isdigit() or int(copies_text) < 1:
@@ -330,36 +306,27 @@ def parse_machine_text(text):
     main, section_lines = _split_sections(text)
     if not main or main[0][1] != "kind":
         _fail(main[0][0] if main else 1, "the first line must be 'kind: ...'")
-    lineno, kind = main[0][0], main[0][2]
+    lineno, name = main[0][0], main[0][2]
+    if name not in KINDS:
+        _fail(lineno, "unknown kind %r" % name)
+    kind = KINDS[name]
     fields = _collect(main[1:])
-    if section_lines and kind not in ("2wst", "sst-sf"):
-        _fail(lineno, "kind %r takes no look-around sections" % kind)
-    sections = {}
-    for name, lines in section_lines.items():
-        sub = _collect(lines)
-        sub_lineno, sub_kind = _one(sub, "kind", lines[0][0] if lines else 1)
-        want = "dma" if name == "lookahead" else "dfa"
-        if sub_kind != want:
-            _fail(sub_lineno, "%s section must embed kind %r" % (name, want))
-        sections[name] = _parse_dma(sub) if name == "lookahead" else _parse_dfa(sub)
+    if section_lines and not kind.guarded:
+        _fail(lineno, "kind %r takes no look-around sections" % name)
     try:
-        if kind == "dma":
-            return _parse_dma(fields)
-        if kind == "dfa":
-            return _parse_dfa(fields)
-        if kind == "sst":
-            return _parse_sst(fields)
-        if kind == "sst-sf":
-            return _parse_sst_sf(fields, sections)
-        if kind == "2wst":
-            return _parse_2wst(fields, sections)
-        if kind == "fot":
-            return _parse_fot(fields)
+        sections = {}
+        for section, lines in section_lines.items():
+            sub = _collect(lines)
+            sub_lineno, sub_name = _one(sub, "kind", lines[0][0] if lines else 1)
+            want = KINDS["dma" if section == "lookahead" else "dfa"]
+            if sub_name != want.name:
+                _fail(sub_lineno, "%s section must embed kind %r" % (section, want.name))
+            sections[section] = want.parse(want, sub, {})
+        return kind.parse(kind, fields, sections)
     except FormatError:
         raise
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    _fail(lineno, "unknown kind %r" % kind)
 
 
 def parse_machine(path):
@@ -404,61 +371,45 @@ def printable_machine(m):
 
     Machines built by hand already carry token names and come back
     unchanged (the identity renaming preserves every field); conversion and
-    elimination results get s0, s1, ... states in state order.
+    elimination results get s0, s1, ... states in state order.  Transition
+    keys lead with their source state, which is the only part renamed;
+    guards name states of the look-around automata, which are kept.
     """
-    from .constructions import SstSf
+    if not isinstance(m, (Dma, Dfa, Sst, SstSf, TwoWst)):
+        return m
+    ren = _token_map(m.states, "s")
+    states = [ren[q] for q in m.states]
 
-    if isinstance(m, Dma):
-        ren = _token_map(m.states, "s")
-        return Dma([ren[q] for q in m.states], m.alphabet, ren[m.initial],
-                   {(ren[q], a): ren[q2] for (q, a), q2 in m.delta.items()},
-                   [frozenset(ren[q] for q in P) for P in m.muller_sets])
-    if isinstance(m, Dfa):
-        ren = _token_map(m.states, "s")
-        return Dfa([ren[q] for q in m.states], m.alphabet, ren[m.initial],
-                   {(ren[q], a): ren[q2] for (q, a), q2 in m.delta.items()})
-    if isinstance(m, Sst):
-        ren = _token_map(m.states, "s")
-        var = _token_map(m.variables, "v")
-        rhs_ren = lambda rhs: tuple(
-            (kind, var[v] if kind == "var" else v) for kind, v in rhs
-        )
-        return Sst(
-            [ren[q] for q in m.states], m.alphabet, ren[m.initial],
-            {(ren[q], a): ren[q2] for (q, a), q2 in m.delta.items()},
-            [var[x] for x in m.variables],
-            {(ren[q], a): {var[x]: rhs_ren(rhs) for x, rhs in subst.items()}
-             for (q, a), subst in m.update.items()},
-            {frozenset(ren[q] for q in P): tuple(var[x] for x in seq)
-             for P, seq in m.F.items()},
-        )
-    if isinstance(m, SstSf):
-        ren = _token_map(m.states, "s")
-        var = _token_map(m.variables, "v")
-        rhs_ren = lambda rhs: tuple(
-            (kind, var[v] if kind == "var" else v) for kind, v in rhs
-        )
-        return SstSf(
-            [ren[q] for q in m.states], m.alphabet, ren[m.initial],
-            {(ren[q], r, a, p): ren[q2] for (q, r, a, p), q2 in m.delta.items()},
-            [var[x] for x in m.variables],
-            {(ren[q], r, a, p): {var[x]: rhs_ren(rhs) for x, rhs in subst.items()}
-             for (q, r, a, p), subst in m.update.items()},
-            {frozenset(ren[q] for q in P): tuple(var[x] for x in seq)
-             for P, seq in m.output.items()},
-            lookahead=m.lookahead, lookbehind=m.lookbehind,
-            start_values={var[x]: v for x, v in m.start_values.items()},
-        )
+    def key(k):
+        return (ren[k[0]],) + k[1:]
+
     if isinstance(m, TwoWst):
-        ren = _token_map(m.states, "s")
         return TwoWst(
-            [ren[q] for q in m.states], m.alphabet, ren[m.initial],
-            {(ren[q], r, a, p): (ren[q2], out, move)
-             for (q, r, a, p), (q2, out, move) in m.delta.items()},
+            states, m.alphabet, ren[m.initial],
+            {key(k): (ren[q2], out, move) for k, (q2, out, move) in m.delta.items()},
             [frozenset(ren[q] for q in P) for P in m.muller_sets],
             lookahead=m.lookahead, lookbehind=m.lookbehind,
         )
-    return m
+    delta = {key(k): ren[q2] for k, q2 in m.delta.items()}
+    if isinstance(m, Dfa):
+        return Dfa(states, m.alphabet, ren[m.initial], delta)
+    if isinstance(m, Dma):
+        return Dma(states, m.alphabet, ren[m.initial], delta,
+                   [frozenset(ren[q] for q in P) for P in m.muller_sets])
+    var = _token_map(m.variables, "v")
+    guarded = {} if isinstance(m, Sst) else {
+        "lookahead": m.lookahead, "lookbehind": m.lookbehind,
+        "start_values": {var[x]: v for x, v in m.start_values.items()},
+    }
+    return type(m)(
+        states, m.alphabet, ren[m.initial], delta, [var[x] for x in m.variables],
+        {key(k): {var[x]: tuple((tag, var[v] if tag == "var" else v) for tag, v in rhs)
+                  for x, rhs in subst.items()}
+         for k, subst in m.update.items()},
+        {frozenset(ren[q] for q in P): tuple(var[x] for x in seq)
+         for P, seq in m.F.items()},
+        **guarded,
+    )
 
 
 def _fmt_set(P, state_order):
@@ -486,8 +437,9 @@ def _fmt_assignments(subst, variables):
 
 
 def _header_lines(kind, m):
+    _check_letters(m.alphabet)
     return [
-        "kind: %s" % kind,
+        "kind: %s" % kind.name,
         "states: %s" % " ".join(str(q) for q in m.states),
         "initial: %s" % m.initial,
         "alphabet: %s" % "".join(m.alphabet),
@@ -500,83 +452,68 @@ def _check_letters(alphabet):
             raise ValueError("letter %r cannot be printed in the text format" % a)
 
 
-def _print_dma(m, kind="dma"):
-    _check_letters(m.alphabet)
-    lines = _header_lines(kind, m)
-    for q in m.states:
-        for a in m.alphabet:
-            lines.append("delta: %s,%s -> %s" % (q, a, m.delta[(q, a)]))
-    if kind == "dma":
-        order = {q: i for i, q in enumerate(m.states)}
-        lines.append(
-            "muller: %s" % " ".join(_fmt_set(P, order) for P in m.muller_sets)
-        )
-    return lines
-
-
-def _print_sst(m):
-    _check_letters(m.alphabet)
-    order = {q: i for i, q in enumerate(m.states)}
-    lines = _header_lines("sst", m)
-    lines.append("vars: %s" % " ".join(m.variables))
-    for q in m.states:
-        for a in m.alphabet:
-            lines.append("delta: %s,%s -> %s" % (q, a, m.delta[(q, a)]))
-    for q in m.states:
-        for a in m.alphabet:
-            body = _fmt_assignments(m.update[(q, a)], m.variables)
-            if body:
-                lines.append("update: %s,%s: %s" % (q, a, body))
-    for P in m.muller_sets:
-        lines.append(
-            "output: %s -> %s" % (_fmt_set(P, order), " ".join(m.F[P]))
-        )
-    return lines
-
-
 def _guard(r):
     return "_" if r is None else str(r)
 
 
-def _guarded_key_order(m):
+def _fmt_key(key):
+    """A transition key as the text format writes it: q,a or q, r, a, p."""
+    if len(key) == 2:
+        return "%s,%s" % key
+    q, r, a, p = key
+    return "%s, %s, %s, %s" % (q, _guard(r), a, _guard(p))
+
+
+def _sorted_keys(m):
+    """m's transition keys by state, then letter, then the two guards."""
     state_order = {q: i for i, q in enumerate(m.states)}
     letter_order = {a: i for i, a in enumerate(m.alphabet)}
     letter_order[MARK] = len(letter_order)
 
-    def key(entry):
-        q, r, a, p = entry
-        return (state_order[q], letter_order[a], _guard(r), _guard(p))
-
-    return key
-
-
-def _print_sst_sf(m):
-    _check_letters(m.alphabet)
-    order = {q: i for i, q in enumerate(m.states)}
-    lines = _header_lines("sst-sf", m)
-    lines.append("vars: %s" % " ".join(m.variables))
-    sort = _guarded_key_order(m)
-    for key in sorted(m.delta, key=sort):
+    def order(key):
+        if len(key) == 2:
+            return state_order[key[0]], letter_order[key[1]]
         q, r, a, p = key
-        lines.append(
-            "delta: %s, %s, %s, %s -> %s"
-            % (q, _guard(r), a, _guard(p), m.delta[key])
-        )
-    for key in sorted(m.update, key=sort):
+        return state_order[q], letter_order[a], _guard(r), _guard(p)
+
+    return sorted(m.delta, key=order)
+
+
+def _muller_line(m):
+    order = {q: i for i, q in enumerate(m.states)}
+    return "muller: %s" % " ".join(_fmt_set(P, order) for P in m.muller_sets)
+
+
+def _print_automaton(kind, m):
+    lines = _header_lines(kind, m)
+    for key in _sorted_keys(m):
+        lines.append("delta: %s -> %s" % (_fmt_key(key), m.delta[key]))
+    if kind.cls is Dma:
+        lines.append(_muller_line(m))
+    return lines
+
+
+def _print_streaming(kind, m):
+    """An sst, or an sst-sf: the same lines with guarded keys, plus start: lines."""
+    order = {q: i for i, q in enumerate(m.states)}
+    lines = _header_lines(kind, m)
+    lines.append("vars: %s" % " ".join(m.variables))
+    keys = _sorted_keys(m)
+    for key in keys:
+        lines.append("delta: %s -> %s" % (_fmt_key(key), m.delta[key]))
+    for key in keys:
         body = _fmt_assignments(m.update[key], m.variables)
         if body:
-            q, r, a, p = key
-            lines.append(
-                "update: %s, %s, %s, %s: %s" % (q, _guard(r), a, _guard(p), body)
-            )
+            lines.append("update: %s: %s" % (_fmt_key(key), body))
     for P in m.muller_sets:
         lines.append(
-            "output: %s -> %s" % (_fmt_set(P, order), " ".join(m.output[P]))
+            "output: %s -> %s" % (_fmt_set(P, order), " ".join(m.F[P]))
         )
-    for x in m.variables:
-        if m.start_values.get(x, ""):
-            lines.append("start: %s := %s" % (x, m.start_values[x]))
-    lines.extend(_section_lines(m))
+    if kind.guarded:
+        for x in m.variables:
+            if m.start_values.get(x, ""):
+                lines.append("start: %s := %s" % (x, m.start_values[x]))
+        lines.extend(_section_lines(m))
     return lines
 
 
@@ -584,43 +521,37 @@ def _section_lines(m):
     lines = []
     if m.lookbehind is not None:
         lines.append("lookbehind:")
-        lines.extend(_print_dma(m.lookbehind, kind="dfa"))
+        lines.extend(_print_automaton(KINDS["dfa"], m.lookbehind))
     if m.lookahead is not None:
         lines.append("lookahead:")
-        lines.extend(_print_dma(m.lookahead))
+        lines.extend(_print_automaton(KINDS["dma"], m.lookahead))
     return lines
 
 
 _MOVE_TEXT = {RIGHT: "+1", STAY: "0", LEFT: "-1"}
 
 
-def _print_2wst(m):
-    _check_letters(m.alphabet)
-    order = {q: i for i, q in enumerate(m.states)}
-    lines = _header_lines("2wst", m)
-    for key in sorted(m.delta, key=_guarded_key_order(m)):
-        q, r, a, p = key
+def _print_2wst(kind, m):
+    lines = _header_lines(kind, m)
+    for key in _sorted_keys(m):
         q2, out, move = m.delta[key]
         if '"' in out:
             raise ValueError("output %r cannot be printed in the text format" % out)
         lines.append(
-            'trans: %s, %s, %s, %s -> %s, "%s", %s'
-            % (q, _guard(r), a, _guard(p), q2, out, _MOVE_TEXT[move])
+            'trans: %s -> %s, "%s", %s' % (_fmt_key(key), q2, out, _MOVE_TEXT[move])
         )
-    lines.append(
-        "muller: %s" % " ".join(_fmt_set(P, order) for P in m.muller_sets)
-    )
+    lines.append(_muller_line(m))
     lines.extend(_section_lines(m))
     return lines
 
 
-def _print_fot(m):
+def _print_fot(kind, m):
     _check_letters(m.alphabet)
     if m.copies != tuple(range(1, len(m.copies) + 1)):
         raise ValueError("only copies numbered 1..n can be printed")
     letter_order = {a: i for i, a in enumerate(m.alphabet)}
     lines = [
-        "kind: fot",
+        "kind: %s" % kind.name,
         "alphabet: %s" % "".join(m.alphabet),
         "copies: %d" % len(m.copies),
         "dom: %s" % format_formula(m.domain),
@@ -632,27 +563,42 @@ def _print_fot(m):
     return lines
 
 
+Kind = namedtuple("Kind", ["name", "cls", "parse", "print", "guarded"])
+Kind.__doc__ = """One machine kind of the text format.
+
+parse(kind, fields, sections) builds the machine from its collected lines
+and embedded look-around automata; print(kind, machine) gives its lines.
+guarded kinds key transitions on (state, behind, letter, ahead) and may
+end with look-around sections."""
+
+KINDS = {kind.name: kind for kind in (
+    Kind("dma", Dma, _parse_automaton, _print_automaton, False),
+    Kind("dfa", Dfa, _parse_automaton, _print_automaton, False),
+    Kind("sst", Sst, _parse_streaming, _print_streaming, False),
+    Kind("sst-sf", SstSf, _parse_streaming, _print_streaming, True),
+    Kind("2wst", TwoWst, _parse_2wst, _print_2wst, True),
+    Kind("fot", Fot, _parse_fot, _print_fot, False),
+)}
+_KIND_OF_CLASS = {kind.cls: kind for kind in KINDS.values()}
+
+
+def kind_name(m):
+    """The `kind:` name of a machine; TypeError for an object of no kind."""
+    return _kind_of(m).name
+
+
+def _kind_of(m):
+    if type(m) not in _KIND_OF_CLASS:
+        raise TypeError("no text format for %s" % type(m).__name__)
+    return _KIND_OF_CLASS[type(m)]
+
+
 def print_machine(m):
     """Deterministic text for a machine; parse_machine_text inverts it.
 
     Structured states and variables are renamed via printable_machine
     first, so the round trip reproduces the renamed machine.
     """
-    from .constructions import SstSf
-
     m = printable_machine(m)
-    if isinstance(m, Dma):
-        lines = _print_dma(m)
-    elif isinstance(m, Dfa):
-        lines = _print_dma(m, kind="dfa")
-    elif isinstance(m, SstSf):
-        lines = _print_sst_sf(m)
-    elif isinstance(m, Sst):
-        lines = _print_sst(m)
-    elif isinstance(m, TwoWst):
-        lines = _print_2wst(m)
-    elif isinstance(m, Fot):
-        lines = _print_fot(m)
-    else:
-        raise TypeError("no text format for %s" % type(m).__name__)
-    return "\n".join(lines) + "\n"
+    kind = _kind_of(m)
+    return "\n".join(kind.print(kind, m)) + "\n"

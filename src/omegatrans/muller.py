@@ -254,6 +254,23 @@ def identity_matrix(states, muller_sets):
     return SummarySpace(states, muller_sets).identity()
 
 
+def check_total(states, alphabet, initial, delta):
+    """ValueError unless initial is a state and delta maps exactly states × alphabet
+    into states: Dma, Dfa and Sst check their transition tables here."""
+    if initial not in states:
+        raise ValueError("initial state %r not a state" % (initial,))
+    for q in states:
+        for a in alphabet:
+            if (q, a) not in delta:
+                raise ValueError("delta is not total: missing (%r, %r)" % (q, a))
+            if delta[(q, a)] not in states:
+                raise ValueError("delta leaves the state set at (%r, %r)" % (q, a))
+    stray = delta.keys() - {(q, a) for q in states for a in alphabet}
+    if stray:
+        raise ValueError("delta has a transition outside states × alphabet: %r"
+                         % (min(stray, key=repr),))
+
+
 class Dma:
     """Deterministic Muller automaton with a total transition function."""
 
@@ -263,14 +280,7 @@ class Dma:
         self.initial = initial
         self.delta = dict(delta)
         self.muller_sets = tuple(frozenset(m) for m in muller_sets)
-        if initial not in self.states:
-            raise ValueError("initial state %r not a state" % (initial,))
-        for q in self.states:
-            for a in self.alphabet:
-                if (q, a) not in self.delta:
-                    raise ValueError("delta is not total: missing (%r, %r)" % (q, a))
-                if self.delta[(q, a)] not in self.states:
-                    raise ValueError("delta leaves the state set at (%r, %r)" % (q, a))
+        check_total(self.states, self.alphabet, initial, self.delta)
         for m in self.muller_sets:
             if not m <= set(self.states):
                 raise ValueError("Muller set %r contains non-states" % (set(m),))

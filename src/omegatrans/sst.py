@@ -38,6 +38,7 @@ from .muller import (
     SummarySpace,
     _Memo,
     aperiodicity_witness,
+    check_total,
     generate_monoid,
 )
 from .words import lasso
@@ -169,13 +170,64 @@ def check_output_shape(rules, delta, update):
                         "output variable %r must extend itself %s" % (last, where))
 
 
+def streaming_fields(states, delta, variables, update, F):
+    """(variables, update, F, muller_sets) of a streaming transducer, checked.
+
+    Sst and SstSf both build these fields here.  delta maps a transition key,
+    whose first item is the source state, to a target state, and the caller
+    has checked it.  update maps some of those keys, and no other, to a
+    substitution {var: rhs} with rhs a tuple of ("lit", c) / ("var", x)
+    items; the variables it leaves out are filled in as identity.  F maps
+    distinct non-empty state sets to sequences of distinct variables, whose
+    shape check_output_shape checks.  muller_sets lists F's state sets in a
+    fixed order.
+    """
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables) or not variables:
+        raise ValueError("variables must be distinct and non-empty")
+    stray = update.keys() - delta.keys()
+    if stray:
+        raise ValueError("update for %r, which is not a transition" % (min(stray, key=repr),))
+    full = {}
+    for key in delta:
+        subst = dict(update.get(key, {}))
+        for x, rhs in subst.items():
+            if x not in variables:
+                raise ValueError("update at %r writes unknown variable %r" % (key, x))
+            for item in rhs:
+                if item[0] == "var":
+                    if item[1] not in variables:
+                        raise ValueError(
+                            "update at %r reads unknown variable %r" % (key, item[1])
+                        )
+                elif item[0] != "lit":
+                    raise ValueError("malformed rhs item %r at %r" % (item, key))
+        for x in variables:
+            subst.setdefault(x, (("var", x),))
+        full[key] = subst
+    rules = {frozenset(P): tuple(seq) for P, seq in F.items()}
+    if len(rules) != len(F):
+        raise ValueError("output rules repeat a state set")
+    for P, seq in rules.items():
+        if not P or not P <= set(states):
+            raise ValueError("bad output state set %r" % (set(P),))
+        if not seq or len(set(seq)) != len(seq):
+            raise ValueError("output sequence for %r must be distinct and non-empty" % (set(P),))
+        if not set(seq) <= set(variables):
+            raise ValueError("output sequence for %r uses unknown variables" % (set(P),))
+    check_output_shape(rules, delta, full)
+    muller_sets = tuple(sorted(rules, key=lambda P: tuple(sorted(map(str, P)))))
+    return variables, full, rules, muller_sets
+
+
 class Sst:
     """Deterministic streaming transducer with Muller output rules.
 
-    update maps (state, letter) to a substitution given as {var: rhs} with
-    rhs a tuple of ("lit", c) / ("var", x) items; variables missing from a
-    substitution are filled in as identity.  F maps each accepting state set
-    to the sequence of variables whose limit is the output.  Machines need
+    delta maps exactly states × alphabet into states (check_total), and
+    update maps (state, letter) to a substitution, checked and completed by
+    streaming_fields as on the guarded constructions.SstSf.  F maps each
+    accepting state set to the sequence of variables whose limit is the
+    output.  Machines need
     not be copyless (is_copyless and is_1_bounded are separate checks), but
     the output rules must freeze x_1 .. x_{n-1} and extend x_n on every
     transition that stays inside their state set.
@@ -186,48 +238,10 @@ class Sst:
         self.alphabet = tuple(alphabet)
         self.initial = initial
         self.delta = dict(delta)
-        self.variables = tuple(variables)
-        if len(set(self.variables)) != len(self.variables) or not self.variables:
-            raise ValueError("variables must be distinct and non-empty")
-        if initial not in self.states:
-            raise ValueError("initial state %r not a state" % (initial,))
-        for q in self.states:
-            for a in self.alphabet:
-                if (q, a) not in self.delta:
-                    raise ValueError("delta is not total: missing (%r, %r)" % (q, a))
-                if self.delta[(q, a)] not in self.states:
-                    raise ValueError("delta leaves the state set at (%r, %r)" % (q, a))
-        self.update = {}
-        for key in self.delta:
-            subst = dict(update.get(key, {}))
-            for x, rhs in subst.items():
-                if x not in self.variables:
-                    raise ValueError("update at %r writes unknown variable %r" % (key, x))
-                for item in rhs:
-                    if item[0] == "var":
-                        if item[1] not in self.variables:
-                            raise ValueError(
-                                "update at %r reads unknown variable %r" % (key, item[1])
-                            )
-                    elif item[0] != "lit":
-                        raise ValueError("malformed rhs item %r at %r" % (item, key))
-            for x in self.variables:
-                subst.setdefault(x, (("var", x),))
-            self.update[key] = subst
-        self.F = {frozenset(P): tuple(seq) for P, seq in F.items()}
-        if len(self.F) != len(F):
-            raise ValueError("output rules repeat a state set")
-        for P, seq in self.F.items():
-            if not P or not P <= set(self.states):
-                raise ValueError("bad output state set %r" % (set(P),))
-            if not seq or len(set(seq)) != len(seq):
-                raise ValueError("output sequence for %r must be distinct and non-empty" % (set(P),))
-            if not set(seq) <= set(self.variables):
-                raise ValueError("output sequence for %r uses unknown variables" % (set(P),))
-        self.muller_sets = tuple(
-            sorted(self.F, key=lambda P: tuple(sorted(map(str, P))))
+        check_total(self.states, self.alphabet, initial, self.delta)
+        self.variables, self.update, self.F, self.muller_sets = streaming_fields(
+            self.states, self.delta, variables, update, F
         )
-        check_output_shape(self.F, self.delta, self.update)
 
     def step(self, q, a):
         return self.delta[(q, a)]

@@ -24,6 +24,7 @@ from .muller import (
     SummarySpace,
     TransitionMatrix,
     aperiodicity_witness,
+    check_total,
     dma_monoid,
     generate_monoid,
     identity_matrix,
@@ -45,14 +46,7 @@ class Dfa:
         self.alphabet = tuple(alphabet)
         self.initial = initial
         self.delta = dict(delta)
-        if initial not in self.states:
-            raise ValueError("initial state %r not a state" % (initial,))
-        for q in self.states:
-            for a in self.alphabet:
-                if (q, a) not in self.delta:
-                    raise ValueError("delta is not total: missing (%r, %r)" % (q, a))
-                if self.delta[(q, a)] not in self.states:
-                    raise ValueError("delta leaves the state set at (%r, %r)" % (q, a))
+        check_total(self.states, self.alphabet, initial, self.delta)
 
     def step(self, q, a):
         return self.delta[(q, a)]

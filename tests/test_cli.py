@@ -14,6 +14,7 @@ F1_FOT = str(MACHINES / "f1.fot")
 SETTLING_DMA = str(MACHINES / "settling.dma")
 SETTLING_SST = str(MACHINES / "settling.sst")
 CORPUS = str(MACHINES / "corpus.txt")
+CORPUS_WORDS = (MACHINES / "corpus.txt").read_text().split()
 
 
 def test_run_prints_the_output_prefix(capsys):
@@ -253,3 +254,63 @@ def test_usage_and_parse_errors_exit_2(capsys):
     assert main(["run", F1_SST, "not-a-word"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def _verbs(machine, word, tmp_path):
+    """Every verb of the command line, applied to one machine and one word."""
+    corpus = tmp_path / "one.txt"
+    corpus.write_text(word + "\n")
+    prefix, period = word.split("(")
+    out = str(tmp_path / "out")
+    return [
+        ["run", "-k", "12", machine, word],
+        ["compare", "-k", "12", machine, machine, "--corpus", str(corpus)],
+        ["compare", "-k", "12", machine, F1_SST, "--sample", "2"],
+        ["check-aperiodic", machine],
+        ["check-1bounded", machine],
+        ["monoid", machine],
+        ["behavior", machine, prefix, "--continuation", "(" + period],
+        ["graph", "--horizon", "6", machine, word],
+        ["compile", "2wst-to-sst", machine, "-o", out],
+        ["eliminate-la", machine, "-o", out],
+    ]
+
+
+def test_every_verb_on_every_shipped_machine_exits_with_a_code(tmp_path, capsys):
+    """No verb raises on any file of machines/: it exits 0-3, and an exit of
+    2 or 3 comes with exactly one `error:` line."""
+    word = "ab#(a)^w"
+    assert word in CORPUS_WORDS
+    machines = sorted(p for p in MACHINES.iterdir() if p.name != "corpus.txt")
+    assert len(machines) == 5
+    for path in machines:
+        for argv in _verbs(str(path), word, tmp_path):
+            rc = main(argv)
+            captured = capsys.readouterr()
+            assert rc in (0, 1, 2, 3), argv
+            if rc >= 2:
+                assert len(captured.err.splitlines()) == 1, argv
+                assert captured.err.startswith("error: "), argv
+            else:
+                assert captured.err == "", argv
+
+
+def test_run_and_compare_name_the_kinds_they_can_run(capsys):
+    assert main(["run", SETTLING_DMA, "a(b)^w"]) == 2
+    assert main(["compare", F1_SST, SETTLING_DMA, "--sample", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: %s is a dma file; this verb needs sst/sst-sf/2wst/fot" % SETTLING_DMA
+    ] * 2
+    assert main(["eliminate-la", F1_SST]) == 2
+    assert capsys.readouterr().err == (
+        "error: %s is a sst file; this verb needs sst-sf\n" % F1_SST)
+
+
+def test_behavior_checks_the_letters_of_the_continuation(capsys):
+    assert main(["behavior", F1_2WST, "ab", "--continuation", "x(y)^w"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: letter 'x' is not in the machine's alphabet\n"
+    assert main(["behavior", F1_2WST, "ab", "--continuation", "#(a)^w"]) == 0

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -208,6 +209,30 @@ def test_guarded_transducer_validation():
         SstSf("z", "a", "z", {("z", None, "b", None): "z"}, ("X",),
               {("z", None, "b", None): {"X": parse_rhs("Xa", ("X",))}},
               {frozenset("z"): ("X",)})
+
+
+@pytest.mark.parametrize("build, key, other", [
+    (lambda update, F: Sst("z", "a", "z", {("z", "a"): "z"}, ("X",), update, F),
+     ("z", "a"), ("z", "b")),
+    (lambda update, F: SstSf("z", "a", "z", {("z", None, "a", None): "z"}, ("X",), update, F),
+     ("z", None, "a", None), ("z", None, "b", None)),
+], ids=["Sst", "SstSf"])
+def test_plain_and_guarded_transducers_make_the_same_checks(build, key, other):
+    rule = {frozenset("z"): ("X",)}
+    assert build({key: {"X": parse_rhs("Xa", ("X",))}}, rule).F == rule
+    refused = [
+        ({key: {"X": (("var", "X"), ("bad", "a"))}}, rule, "malformed rhs item"),
+        ({key: {"X": parse_rhs("XY", ("X", "Y"))}}, rule, "reads unknown variable 'Y'"),
+        ({key: {"Y": ()}}, rule, "writes unknown variable 'Y'"),
+        ({other: {"X": ()}}, rule, "update for %r, which is not a transition" % (other,)),
+        ({}, {frozenset("z"): ("X",), ("z",): ("X",)}, "output rules repeat a state set"),
+        ({}, {frozenset("y"): ("X",)}, "bad output state set"),
+        ({}, {frozenset("z"): ("X", "X")}, "must be distinct and non-empty"),
+        ({}, {frozenset("z"): ("Y",)}, "uses unknown variables"),
+    ]
+    for update, F, message in refused:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(update, F)
 
 
 @pytest.mark.parametrize("rows", [{"X": "aX"}, {"Y": "aY"}])

@@ -31,7 +31,7 @@ MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
 
 _FIELDS = (
     "states", "alphabet", "initial", "delta", "muller_sets", "variables",
-    "update", "F", "output", "start_values", "copies", "domain", "labels",
+    "update", "F", "start_values", "copies", "domain", "labels",
     "order",
 )
 
@@ -150,3 +150,69 @@ def test_ambiguous_right_hand_side_is_refused():
             {frozenset({1}): ("a",)})
     with pytest.raises(ValueError, match="ambiguous in the text format"):
         print_machine(m)
+
+
+def test_every_shipped_machine_prints_back_unchanged():
+    paths = sorted(p for p in MACHINES.iterdir() if p.name != "corpus.txt")
+    assert [p.suffix for p in paths] == [".2wst", ".fot", ".sst", ".dma", ".sst"]
+    for path in paths:
+        text = path.read_text()
+        assert print_machine(parse_machine_text(text)) == text, path.name
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name, build", [
+    ("f1", None),
+    ("alt-copier", alternating_copier_twowst),
+    ("plain-copier", plain_copier_twowst),
+])
+def test_compile_chain_prints_the_pinned_bytes(tmp_path, capsys, name, build):
+    """compile and eliminate-la write the same bytes as the separate sst and
+    sst-sf printers they replaced (tests/golden holds their output)."""
+    source = MACHINES / "f1.2wst"
+    if build is not None:
+        source = tmp_path / (name + ".2wst")
+        source.write_text(print_machine(build()))
+    guarded = tmp_path / (name + ".sst-sf")
+    plain = tmp_path / (name + ".sst")
+    assert main(["compile", "2wst-to-sst", str(source), "-o", str(guarded)]) == 0
+    assert main(["eliminate-la", str(guarded), "-o", str(plain)]) == 0
+    capsys.readouterr()
+    for path in (guarded, plain):
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
+
+
+_ONE_STATE_SST = (
+    "kind: sst\nstates: q\ninitial: q\nalphabet: a\nvars: X\n"
+    "delta: q,a -> q\nupdate: q,a: X := Xa\noutput: {q} -> X\n"
+)
+_ONE_STATE_SST_SF = (
+    "kind: sst-sf\nstates: q\ninitial: q\nalphabet: ab\nvars: X\n"
+    "delta: q, _, a, _ -> q\nupdate: q, _, a, _: X := Xa\noutput: {q} -> X\n"
+)
+
+
+@pytest.mark.parametrize("text, message", [
+    (_ONE_STATE_SST + "delta: r,b -> q\n", r"outside states × alphabet: \('r', 'b'\)"),
+    (_ONE_STATE_SST + "delta: q,b -> q\n", r"outside states × alphabet: \('q', 'b'\)"),
+    ("kind: dma\nstates: q\ninitial: q\nalphabet: a\n"
+     "delta: q,a -> q\ndelta: q,b -> q\nmuller: {q}\n",
+     r"outside states × alphabet: \('q', 'b'\)"),
+    (_ONE_STATE_SST + "update: q,b: X := Xb\n",
+     r"update for \('q', 'b'\), which is not a transition"),
+    (_ONE_STATE_SST_SF + "update: q, _, b, _: X := Xb\n",
+     r"update for \('q', None, 'b', None\), which is not a transition"),
+    (_ONE_STATE_SST_SF + "lookbehind:\nkind: dfa\nstates: u\ninitial: u\nalphabet: ab\n"
+     "delta: u,a -> u\ndelta: u,b -> u\ndelta: u,c -> u\n",
+     r"outside states × alphabet: \('u', 'c'\)"),
+], ids=["sst-foreign-state-and-letter", "sst-foreign-letter", "dma-foreign-letter",
+        "sst-update-without-transition", "sst-sf-update-without-transition",
+        "embedded-dfa-foreign-letter"])
+def test_transition_tables_are_exact(tmp_path, text, message):
+    with pytest.raises(FormatError, match=message):
+        parse_machine_text(text)
+    path = tmp_path / "bad"
+    path.write_text(text)
+    assert main(["check-aperiodic", str(path)]) == 2
