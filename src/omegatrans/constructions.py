@@ -3,7 +3,11 @@
 The pipeline has two stages.  twowst_to_sst_sf turns a two-way transducer
 into a guarded streaming transducer (SstSf): a single left-to-right pass
 whose transitions still consult the look-behind and look-ahead automata of
-the source.  eliminate_lookaround then removes the guards by a subset
+the source.  Its states record, per cell, where the head crosses into the
+next cell from each state a left move can enter, and which two-way states
+it visits on the way; rows whose crossings share an excursion copy its
+variable, but a run realizes at most one of the copies, so the result is
+1-bounded, not copyless.  eliminate_lookaround then removes the guards by a subset
 construction over configurations that track, besides the state, one
 look-behind run per start state and the set of pending look-ahead claims.
 The result is a plain Sst that sst.run_output runs without its source.
@@ -20,9 +24,9 @@ from collections import deque, namedtuple
 
 from .fot import Fot, run_fot
 from .muller import CapExceeded
-from .sst import (PAD, NotInDomain, Sst, check_length, check_output_shape, is_copyless,
-                  run_output, stream_output, streaming_fields)
-from .twowst import LEFT, MARK, RIGHT, STAY, TwoWst, _WordContext, guarded_row, run_2wst
+from .sst import (PAD, NotInDomain, Sst, check_length, check_output_shape, run_output,
+                  stream_output, streaming_fields)
+from .twowst import LEFT, MARK, RIGHT, TwoWst, _WordContext, guarded_row, run_2wst
 from .words import UPWord, first_divergence, lasso
 
 
@@ -34,9 +38,11 @@ class SstSf:
     delta may be partial: a position where no row fires rejects the word,
     one where several fire is an error caught at run time.  The variables,
     updates and output rules F are checked by sst.streaming_fields, as on a
-    plain Sst, and every update row must be copyless.  start_values lets
-    variables begin with non-empty content; a plain Sst always starts empty,
-    so eliminate_lookaround writes them as literals on its first transition.
+    plain Sst; rows may copy, and whether copies stay 1-bounded is checked on
+    the plain machine eliminate_lookaround gives (sst.is_1_bounded).
+    start_values lets variables begin with non-empty content; a plain Sst
+    always starts empty, so eliminate_lookaround writes them as literals on
+    its first transition.
     """
 
     def __init__(self, states, alphabet, initial, delta, variables, update,
@@ -66,9 +72,6 @@ class SstSf:
         self.variables, self.update, self.F, self.muller_sets = streaming_fields(
             self.states, self.delta, variables, update, F
         )
-        for key, subst in self.update.items():
-            if not is_copyless(subst):
-                raise ValueError("update at %r is not copyless" % (key,))
         self.start_values = {x: "" for x in self.variables}
         for x, v in (start_values or {}).items():
             if x not in self.variables:
@@ -151,132 +154,97 @@ def run_output_sst_sf(s, word, k):
 # two-way -> guarded streaming
 
 
-def _mark_map(t):
-    """Chase the end-marker cell: per state, where the head re-enters the
-    first letter and what it outputs on the way."""
-    targets = {}
-    outs = {}
+def _crossings(t, f, b, a, alpha):
+    """Crossings of one cell holding the letter a (or the end marker).
+
+    Returns, for each state s the head can be in at the cell, the triple
+    (the state in which it first enters the next cell, the output on the
+    way as rhs items, the two-way states visited before that entry).  b is
+    the cell's lookbehind state and alpha the one lookahead guard taken to
+    hold there.  A left move in state q replays f[q] = (the state in which
+    the head comes back, the states its excursion visits) and reads X_q,
+    the excursion's output; the end marker has f = {}.  A state whose walk
+    repeats a state on the cell, jams or falls off the left end has no
+    crossing, since the head never leaves the cell to the right.
+    """
+    out = {}
     for s in t.states:
-        cur = s
-        seen = {s}
-        out = []
-        while True:
-            row = None
-            for r, p, value in t._by_qa.get((cur, MARK), ()):
-                if r is not None or p is not None:
-                    raise ValueError(
-                        "end-marker transitions must not carry guards (state %r)"
-                        % (cur,)
-                    )
-                row = value
+        q, items, seen, visited = s, [], set(), set()
+        while q not in seen:
+            seen.add(q)
+            row = guarded_row(t._by_qa, q, a, b, lambda p: p == alpha)
             if row is None:
                 break
-            q2, gamma, move = row
-            if move == LEFT:
-                break  # falls off the left end: no crossing
-            out.append(gamma)
+            q, gamma, move = row
+            items.extend(("lit", c) for c in gamma)
             if move == RIGHT:
-                targets[s] = q2
-                outs[s] = "".join(out)
+                out[s] = (q, tuple(items), frozenset(seen | visited))
                 break
-            if q2 in seen:
-                raise ValueError(
-                    "recursion divergence at the end marker (state %r)" % (q2,)
-                )
-            seen.add(q2)
-            cur = q2
-    return targets, outs
+            if move == LEFT:
+                if q not in f:
+                    break
+                items.append(("var", "X_%s" % q))
+                q, excursion = f[q]
+                visited |= excursion
+    return out
 
 
-def _injective_keep(f, keep_first, order):
-    """Restrict f to one source per target: keep keep_first where its group
-    contains it (its crossing is the one the run realizes), otherwise the
-    least source in state order."""
-    groups = {}
-    for src in sorted(f, key=lambda s: order[s]):
-        groups.setdefault(f[src], []).append(src)
-    kept = {}
-    for target, srcs in groups.items():
-        pick = keep_first if keep_first in srcs else srcs[0]
-        kept[pick] = target
-    return kept
-
-
-def _cell_cross(t, f, b, a, alpha):
-    """Crossing data of one cell: for each state entering the letter from
-    the left, the state leaving on the right and the output produced, as
-    rhs items over the X variables.
-
-    f maps states to where the previous cells' crossing ends; an entry
-    missing there leaves the recursion undefined.  A cyclic recursion means
-    the head never leaves the cell and is an error.
-    """
-    done = {}
-    visiting = set()
-
-    def solve(s):
-        if s in done:
-            return done[s]
-        if s in visiting:
-            raise ValueError(
-                "recursion divergence: the head never crosses letter %r "
-                "entered in state %r" % (a, s)
-            )
-        visiting.add(s)
-        row = guarded_row(t._by_qa, s, a, b, lambda p: p == alpha)
-        res = None
-        if row is not None:
-            q2, gamma, move = row
-            lit = tuple(("lit", c) for c in gamma)
-            if move == RIGHT:
-                res = (q2, lit)
-            elif move == STAY:
-                sub = solve(q2)
-                if sub is not None:
-                    res = (sub[0], lit + sub[1])
-            else:  # LEFT: re-enter the previous cells, cross back, continue
-                back = f.get(q2)
-                if back is not None:
-                    sub = solve(back)
-                    if sub is not None:
-                        res = (sub[0], lit + (("var", "X_%s" % q2),) + sub[1])
-        visiting.discard(s)
-        done[s] = res
-        return res
-
-    for s in t.states:
-        solve(s)
-    return {s: r for s, r in done.items() if r is not None}
+def _crossing_map(cross, left):
+    """The (state, (return state, visited states)) pairs of the crossings
+    from the states in left."""
+    return tuple((s, (q2, visited)) for s, (q2, _items, visited) in cross.items()
+                 if s in left)
 
 
 def twowst_to_sst_sf(t, cap=12):
     """One-pass guarded transducer equivalent to the two-way machine.
 
-    States pair the current state with the crossing map of the consumed
-    prefix (where a left re-entry would cross back to the right).  Each X
-    variable holds the output such a re-crossing would produce, O collects
-    the settled output.  The crossing map is kept injective so updates stay
-    copyless, and the realized crossing's variable is reset after it flows
-    into O; both cuts are safe because a deterministic run that re-entered a
-    cell in the same state would loop forever and reject anyway.
+    A state (q, f, V) after a prefix says: the head first enters the next
+    cell in state q; for each state s in which a left move can enter the
+    last cell read, f[s] is the state in which the head, started there in
+    s, first enters the next cell, with the states it visits on the way,
+    and X_s holds the output on the way; V is the set of states the run
+    visited between its first entries into the last cell and the next.
+    Reading a cell, _crossings works out the new f from the old one, O
+    takes the crossing of q and every other X_s the crossing of s.  The
+    start values of the X_s are the crossings of the end marker.  X_q is
+    emptied: a crossing that re-enters the cell in q repeats the run from
+    there, so it comes back to the next cell in the state the run first
+    entered it in, and a crossing through X_q either loops or follows the
+    run and never reaches O.
+
+    The head starts on the first letter and, on a word it accepts, enters
+    every cell, so each of its steps falls between its first entries into
+    one cell and the next: in the V of exactly one cell.  The states it
+    visits forever are therefore the union of the V over the states of the
+    guarded run's loop, and a set P of states gets the output rule O iff
+    that union over P is an accepting set of the source.  P lies inside
+    one strongly connected component, so only subsets of components are
+    listed.  A cell the head never leaves to the right has no crossing for
+    the current state, and the guarded machine has no row there.
+
+    Every other crossing is kept, so when the crossings of several states
+    pass through one excursion, its variable is copied into each of them.
+    Such crossings agree from their common excursion on and end in the same
+    state; a later crossing that took two of them would come back to that
+    state twice and loop.  So a run realizes at most one copy per cut, and
+    the rows are copyful but 1-bounded.
 
     Transitions enumerate position contexts: a concrete lookbehind state
     when any row of the letter consults one, a concrete lookahead guard
-    likewise.  Letters whose guarded rows do not cover some context keep
-    the machine partial there, which mirrors the two-way machine getting
-    stuck.  Every non-empty state set accepts, with output O; acceptance is
-    effectively decided by the look-ahead side.
+    likewise.  Raises CapExceeded past cap states, and ValueError for an
+    end-marker row with guards.
     """
-    order = {q: i for i, q in enumerate(t.states)}
+    for (q, r, a, p) in t.delta:
+        if a == MARK and (r, p) != (None, None):
+            raise ValueError(
+                "end-marker transitions must not carry guards (state %r)" % (q,))
     variables = tuple("X_%s" % q for q in t.states) + ("O",)
-    mark_targets, mark_outs = _mark_map(t)
-    f0 = _injective_keep(mark_targets, None, order)
-    start_values = {"X_%s" % s: mark_outs[s] for s in f0}
-
-    def freeze(f):
-        return tuple(sorted(f.items(), key=lambda kv: order[kv[0]]))
-
-    init = (t.initial, freeze(f0))
+    left = {q2 for q2, _out, move in t.delta.values() if move == LEFT}
+    marker = _crossings(t, {}, None, MARK, None)
+    f0 = _crossing_map(marker, left)
+    start_values = {"X_%s" % s: "".join(c for _, c in marker[s][1]) for s, _ in f0}
+    init = (t.initial, f0, frozenset())
     cells = []
     for a in t.alphabet:
         rows = [key for key in t.delta if key[2] == a]
@@ -295,15 +263,13 @@ def twowst_to_sst_sf(t, cap=12):
     update = {}
     while queue:
         st = queue.popleft()
-        q, ftup = st
-        f = dict(ftup)
+        q, f, _ = st
         for b, a, alpha in cells:
-            cross = _cell_cross(t, f, b, a, alpha)
+            cross = _crossings(t, dict(f), b, a, alpha)
             if q not in cross:
                 continue
-            f_prime = {s: cross[s][0] for s in cross}
-            f2 = _injective_keep(f_prime, q, order)
-            dest = (f_prime[q], freeze(f2))
+            f2 = _crossing_map(cross, left)
+            dest = (cross[q][0], f2, cross[q][2])
             if dest not in index:
                 if len(states) >= cap:
                     raise CapExceeded(
@@ -316,16 +282,21 @@ def twowst_to_sst_sf(t, cap=12):
             delta[key] = dest
             subst = {x: () for x in variables}
             subst["O"] = (("var", "O"),) + cross[q][1]
-            for s in f2:
+            for s, _ in f2:
                 if s != q:
                     subst["X_%s" % s] = cross[s][1]
             update[key] = subst
 
+    succ = {}
+    for key, dest in delta.items():
+        succ.setdefault(key[0], {})[dest] = None
+    accepting = set(t.muller_sets)
     output = {}
-    masks = [frozenset(st for i, st in enumerate(states) if n >> i & 1)
-             for n in range(1, 1 << len(states))]
-    for mask in masks:
-        output[mask] = ("O",)
+    for comp in _sccs(states, lambda st: succ.get(st, ())):
+        for n in range(1, 1 << len(comp)):
+            P = frozenset(st for i, st in enumerate(comp) if n >> i & 1)
+            if frozenset().union(*(st[2] for st in P)) in accepting:
+                output[P] = ("O",)
     return SstSf(
         states,
         t.alphabet,

@@ -13,7 +13,8 @@ with "#" are skipped.  The kinds:
 
 2wst and sst-sf files may end with `lookbehind:` / `lookahead:` sections,
 each holding an embedded dfa / dma block.  One table, KINDS, pairs each kind
-name with its class, parser and printer.  Transition tables are exact: a
+name with its class, parser, printer and directives; a directive the kind
+does not list is refused with its line number.  Transition tables are exact: a
 key outside states x alphabet (or, for guarded kinds, outside the machine's
 states, letters and guard states) or an update for a transition that does
 not exist is refused.  Identity update entries are left out when printing
@@ -38,11 +39,6 @@ from .twowst import LEFT, MARK, RIGHT, STAY, Dfa, TwoWst
 from .words import parse_word
 
 _TOKEN = re.compile(r"[A-Za-z0-9_@.]+\Z")
-
-_SCALAR_KEYS = ("kind", "states", "initial", "alphabet", "vars", "copies", "dom")
-_KNOWN_KEYS = _SCALAR_KEYS + (
-    "delta", "update", "output", "start", "muller", "trans", "pos", "ord"
-)
 
 
 class FormatError(ValueError):
@@ -71,26 +67,37 @@ def _split_sections(text):
         if ":" not in line:
             _fail(lineno, "expected 'key: value', got %r" % line)
         key, rest = line.split(":", 1)
-        key = key.strip()
-        if key not in _KNOWN_KEYS:
-            _fail(lineno, "unknown directive %r" % key)
-        buckets[current].append((lineno, key, rest.strip()))
+        buckets[current].append((lineno, key.strip(), rest.strip()))
     main = buckets.pop("main")
     return main, buckets
 
 
-def _collect(lines):
+def _block(lines):
+    """(kind, fields) of a block of lines led by its `kind:` line.
+
+    fields maps each directive to its (lineno, rest) pairs.  A directive
+    the kind does not list is refused, and so is a second line of one of
+    its single directives.
+    """
+    if not lines or lines[0][1] != "kind":
+        _fail(lines[0][0] if lines else 1, "the first line must be 'kind: ...'")
+    lineno, _, name = lines[0]
+    if name not in KINDS:
+        _fail(lineno, "unknown kind %r" % name)
+    kind = KINDS[name]
     fields = {}
-    for lineno, key, rest in lines:
-        if key in _SCALAR_KEYS and key in fields:
+    for lineno, key, rest in lines[1:]:
+        if key not in kind.single + kind.repeated:
+            _fail(lineno, "unknown directive %r for kind %r" % (key, name))
+        if key in kind.single and key in fields:
             _fail(lineno, "duplicate %r line" % key)
         fields.setdefault(key, []).append((lineno, rest))
-    return fields
+    return kind, fields
 
 
-def _one(fields, key, lineno_hint=1):
+def _one(fields, key):
     if key not in fields:
-        _fail(lineno_hint, "missing %r line" % key)
+        _fail(1, "missing %r line" % key)
     return fields[key][0]
 
 
@@ -99,6 +106,13 @@ def _token(text, lineno):
     if not text:
         _fail(lineno, "empty name")
     return int(text) if text.isdigit() else text
+
+
+def _copy_number(text, lineno):
+    text = text.strip()
+    if not text.isdigit():
+        _fail(lineno, "copy numbers are counts, got %r" % text)
+    return int(text)
 
 
 def _guard_token(text, lineno):
@@ -282,7 +296,7 @@ def _parse_fot(kind, fields, sections):
         parts = head.split(",")
         if len(parts) != 2 or not body:
             _fail(lineno, "expected 'c,g: formula', got %r" % rest)
-        key = (int(parts[0]), _letter(parts[1], lineno))
+        key = (_copy_number(parts[0], lineno), _letter(parts[1], lineno))
         labels[key] = _parse_formula_at(body, lineno)
     order = {}
     for lineno, rest in fields.get("ord", []):
@@ -290,7 +304,8 @@ def _parse_fot(kind, fields, sections):
         parts = head.split(",")
         if len(parts) != 2 or not body:
             _fail(lineno, "expected 'c,d: formula', got %r" % rest)
-        order[(int(parts[0]), int(parts[1]))] = _parse_formula_at(body, lineno)
+        key = (_copy_number(parts[0], lineno), _copy_number(parts[1], lineno))
+        order[key] = _parse_formula_at(body, lineno)
     return Fot(alphabet, copies, _parse_formula_at(dom_text, lineno), labels, order)
 
 
@@ -304,24 +319,17 @@ def _parse_formula_at(text, lineno):
 def parse_machine_text(text):
     """Text in the format family -> validated machine of the header's kind."""
     main, section_lines = _split_sections(text)
-    if not main or main[0][1] != "kind":
-        _fail(main[0][0] if main else 1, "the first line must be 'kind: ...'")
-    lineno, name = main[0][0], main[0][2]
-    if name not in KINDS:
-        _fail(lineno, "unknown kind %r" % name)
-    kind = KINDS[name]
-    fields = _collect(main[1:])
+    kind, fields = _block(main)
     if section_lines and not kind.guarded:
-        _fail(lineno, "kind %r takes no look-around sections" % name)
+        _fail(main[0][0], "kind %r takes no look-around sections" % kind.name)
     try:
         sections = {}
         for section, lines in section_lines.items():
-            sub = _collect(lines)
-            sub_lineno, sub_name = _one(sub, "kind", lines[0][0] if lines else 1)
-            want = KINDS["dma" if section == "lookahead" else "dfa"]
-            if sub_name != want.name:
-                _fail(sub_lineno, "%s section must embed kind %r" % (section, want.name))
-            sections[section] = want.parse(want, sub, {})
+            sub_kind, sub = _block(lines)
+            want = "dma" if section == "lookahead" else "dfa"
+            if sub_kind.name != want:
+                _fail(lines[0][0], "%s section must embed kind %r" % (section, want))
+            sections[section] = sub_kind.parse(sub_kind, sub, {})
         return kind.parse(kind, fields, sections)
     except FormatError:
         raise
@@ -563,21 +571,27 @@ def _print_fot(kind, m):
     return lines
 
 
-Kind = namedtuple("Kind", ["name", "cls", "parse", "print", "guarded"])
+Kind = namedtuple("Kind", ["name", "cls", "parse", "print", "guarded", "single", "repeated"])
 Kind.__doc__ = """One machine kind of the text format.
 
 parse(kind, fields, sections) builds the machine from its collected lines
 and embedded look-around automata; print(kind, machine) gives its lines.
 guarded kinds key transitions on (state, behind, letter, ahead) and may
-end with look-around sections."""
+end with look-around sections.  single lists the directives of one line
+each, repeated those that may take many; the kind takes no other."""
 
+_HEADER = ("states", "initial", "alphabet")
 KINDS = {kind.name: kind for kind in (
-    Kind("dma", Dma, _parse_automaton, _print_automaton, False),
-    Kind("dfa", Dfa, _parse_automaton, _print_automaton, False),
-    Kind("sst", Sst, _parse_streaming, _print_streaming, False),
-    Kind("sst-sf", SstSf, _parse_streaming, _print_streaming, True),
-    Kind("2wst", TwoWst, _parse_2wst, _print_2wst, True),
-    Kind("fot", Fot, _parse_fot, _print_fot, False),
+    Kind("dma", Dma, _parse_automaton, _print_automaton, False,
+         _HEADER, ("delta", "muller")),
+    Kind("dfa", Dfa, _parse_automaton, _print_automaton, False, _HEADER, ("delta",)),
+    Kind("sst", Sst, _parse_streaming, _print_streaming, False,
+         _HEADER + ("vars",), ("delta", "update", "output")),
+    Kind("sst-sf", SstSf, _parse_streaming, _print_streaming, True,
+         _HEADER + ("vars",), ("delta", "update", "output", "start")),
+    Kind("2wst", TwoWst, _parse_2wst, _print_2wst, True, _HEADER, ("trans", "muller")),
+    Kind("fot", Fot, _parse_fot, _print_fot, False,
+         ("alphabet", "copies", "dom"), ("pos", "ord")),
 )}
 _KIND_OF_CLASS = {kind.cls: kind for kind in KINDS.values()}
 

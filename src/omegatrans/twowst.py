@@ -162,17 +162,8 @@ class _WordContext:
         folded = self.entry_pos + (pos - self.entry_pos) % self.cycle_len
         return self._bs[folded]
 
-    def suffix_word(self, pos):
-        """The strict suffix after pos, as a word of its own."""
-        lp = len(self.word.prefix)
-        period = self.word.period
-        if pos < lp:
-            return UPWord(self.word.prefix[pos:], period)
-        r = (pos - lp) % len(period)
-        return UPWord("", period[r:] + period[:r])
-
     def ahead_ok(self, pos, p):
-        w = self.suffix_word(pos)
+        w = self.word.suffix(pos)
         key = (p, w.prefix, w.period)
         if key not in self._ahead:
             self._ahead[key] = self.t.lookahead.accepts(w, start=p)

@@ -35,7 +35,6 @@ from omegatrans.sst import (
     apply_subst,
     is_1_bounded,
     is_aperiodic_sst,
-    is_copyless,
     parse_rhs,
     run_output,
     sst_monoid,
@@ -113,11 +112,20 @@ def unrolled_output(t, w, k):
 
 
 def test_mirror_conversion_states():
+    """Only p is entered by a left move, so the crossing maps hold p alone:
+    from the end marker or a letter, p first crosses to the right in q.
+    The third component is the set of states the last cell's crossing
+    visits: {t} on a letter, all three on a separator, whose crossing
+    walks back to the previous separator."""
     s = twowst_to_sst_sf(mirror_twowst())
-    assert s.initial == ("t", (("p", "q"),))
-    assert set(s.states) == {("t", (("p", "q"),)), ("t", (("t", "t"), ("p", "q")))}
+    from_marker = (("p", ("q", frozenset("p"))),)
+    from_separator = (("p", ("q", frozenset("pq"))),)
+    assert s.initial == ("t", from_marker, frozenset())
+    assert s.states == (s.initial, ("t", from_separator, frozenset("t")),
+                        ("t", from_marker, frozenset("tpq")))
     assert s.variables == ("X_t", "X_p", "X_q", "O")
     assert all(v == "" for v in s.initial_values().values())
+    assert list(s.F.items()) == [(frozenset([s.states[1]]), ("O",))]
 
 
 def test_rightward_loop_appends_to_the_output_variable():
@@ -151,34 +159,80 @@ def test_conversion_agrees_with_two_way_runs():
             assert run_output_sst_sf(s, w, 60) == run_2wst(t, w, 60)
 
 
-def test_conversion_accepts_whatever_the_guards_allow():
-    """The converted machine owns no state-repetition condition of its own:
-    every nonempty state set is accepting and rejection comes only from the
-    guards.  A word with infinitely many separators slips through, still
-    mirrored block by block, even though the two-way machine rejects it."""
+def test_conversion_keeps_the_muller_sets_of_the_source():
+    """A word with infinitely many separators makes the mirror visit all
+    three states forever, which its one accepting set {t} refuses; the
+    converted and the eliminated machine reject it too."""
     t = mirror_twowst()
     s = twowst_to_sst_sf(t)
-    w = UPWord("", "a#")
-    with pytest.raises(NotInDomain):
-        run_2wst(t, w, 9)
-    assert run_output_sst_sf(s, w, 9) == "aa#aa#aa#"
-    assert run_output(eliminate_lookaround(s), w, 9) == "aa#aa#aa#"
+    elim = eliminate_lookaround(s)
+    for w in (UPWord("", "a#"), UPWord("", "#"), UPWord("ab", "ab#")):
+        for run, machine in ((run_2wst, t), (run_output_sst_sf, s), (run_output, elim)):
+            with pytest.raises(NotInDomain):
+                run(machine, w, 9)
 
 
 def test_head_that_never_leaves_a_cell_is_reported():
+    """The head treads in place on the first letter: the cell has no
+    crossing, so the converted machine has no row and rejects as stuck, and
+    its elimination has an empty domain."""
     t = TwoWst("q", "a", "q", {("q", None, "a", None): ("q", "x", STAY)}, [{"q"}])
-    with pytest.raises(ValueError, match="recursion divergence"):
-        twowst_to_sst_sf(t)
+    s = twowst_to_sst_sf(t)
+    assert s.delta == {}
+    w = UPWord("", "a")
+    with pytest.raises(NotInDomain, match="treads in place"):
+        run_2wst(t, w, 5)
+    with pytest.raises(NotInDomain, match="stuck"):
+        run_output_sst_sf(s, w, 5)
+    with pytest.raises(ValueError, match="empty domain"):
+        eliminate_lookaround(s)
 
 
 def test_head_stuck_at_the_end_marker_is_reported():
+    """The end marker loops in state q, but the head starts on the first
+    letter and never goes back: the marker has no crossing, and the run
+    escapes to the right printing nothing, in both machines."""
     delta = {
         ("q", None, MARK, None): ("q", "", STAY),
         ("q", None, "a", None): ("q", "", RIGHT),
     }
     t = TwoWst("q", "a", "q", delta, [{"q"}])
-    with pytest.raises(ValueError, match="end marker"):
-        twowst_to_sst_sf(t)
+    s = twowst_to_sst_sf(t)
+    w = UPWord("", "a")
+    assert run_2wst(t, w, 5) == run_output_sst_sf(s, w, 5) == PAD * 5
+    assert run_output(eliminate_lookaround(s), w, 5) == PAD * 5
+
+
+def test_crossings_that_meet_are_all_kept():
+    """States 0 and 2 both cross the end marker into state 2.  On ba(b)^w
+    the head turns back on b in state 2, crosses the marker and travels on
+    in 2 printing nothing; the conversion must keep 2's crossing."""
+    delta = {
+        (0, None, "b", None): (2, "", LEFT),
+        (0, None, MARK, None): (2, "", RIGHT),
+        (2, None, MARK, None): (2, "", RIGHT),
+        (2, None, "a", None): (2, "", RIGHT),
+        (2, None, "b", None): (2, "", RIGHT),
+    }
+    t = TwoWst([0, 1, 2], "ab", 0, delta, [{2}])
+    s = twowst_to_sst_sf(t)
+    w = UPWord("ba", "b")
+    assert run_2wst(t, w, 6) == run_output_sst_sf(s, w, 6) == PAD * 6
+    assert run_output(eliminate_lookaround(s), w, 6) == PAD * 6
+
+
+def test_state_looping_in_a_cell_the_run_never_reaches():
+    """z treads in place on every letter, but the run stays in q: only the
+    crossing of z is missing, and the conversion goes through."""
+    delta = {
+        ("q", None, "a", None): ("q", "a", RIGHT),
+        ("z", None, "a", None): ("z", "", STAY),
+    }
+    t = TwoWst("qz", "a", "q", delta, [{"q"}])
+    s = twowst_to_sst_sf(t)
+    w = UPWord("", "a")
+    assert run_2wst(t, w, 6) == run_output_sst_sf(s, w, 6) == "aaaaaa"
+    assert run_output(eliminate_lookaround(s), w, 6) == "aaaaaa"
 
 
 def test_guarded_end_marker_transition_is_rejected():
@@ -196,11 +250,12 @@ def test_conversion_state_cap():
 
 
 def test_guarded_transducer_validation():
+    """Rows may copy, as on a plain Sst; guards and letters are checked."""
     ahead = Dma("uv", "a", "u", {("u", "a"): "u", ("v", "a"): "u"}, [{"u"}])
-    with pytest.raises(ValueError, match="is not copyless"):
-        SstSf("z", "a", "z", {("z", None, "a", None): "z"}, ("X",),
-              {("z", None, "a", None): {"X": parse_rhs("XX", ("X",))}},
-              {frozenset("z"): ("X",)})
+    doubling = SstSf("z", "a", "z", {("z", None, "a", None): "z"}, ("X",),
+                     {("z", None, "a", None): {"X": parse_rhs("XX", ("X",))}},
+                     {frozenset("z"): ("X",)}, start_values={"X": "a"})
+    assert run_output_sst_sf(doubling, UPWord("", "a"), 5) == "aaaaa"
     with pytest.raises(ValueError, match="unknown lookahead guard"):
         SstSf("z", "a", "z", {("z", None, "a", "w"): "z"}, ("X",),
               {("z", None, "a", "w"): {"X": parse_rhs("Xa", ("X",))}},
@@ -282,7 +337,7 @@ def test_elimination_of_the_mirror_lookahead():
     elim = eliminate_lookaround(s)
     assert len(elim.states) == 5
     assert len(elim.variables) == 8
-    assert sorted(elim.F.values()) == [("O@0",), ("O@0",), ("O@1",), ("O@1",)]
+    assert sorted(elim.F.values()) == [("O@1",), ("O@1",)]
     assert run_output(elim, UPWord("ab#", "a"), 20) == "baab#" + "a" * 15
 
 
@@ -395,8 +450,8 @@ def _output_or_none(run, *args):
 def test_eliminated_machine_runs_like_its_guarded_source():
     """run_output of the elimination gives what the guarded runner gives,
     rejections included, on compiled random two-way machines and on vacuous
-    wrappers of random copyless transducers.  Conversions refused for a
-    cell the head never leaves or for their size are skipped; a source
+    wrappers of random copyless transducers, and every elimination is
+    1-bounded.  Conversions refused for their size are skipped; a source
     whose initial configuration is not useful rejects every word."""
     rng = random.Random(3)
     sources = []
@@ -405,8 +460,6 @@ def test_eliminated_machine_runs_like_its_guarded_source():
             sources.append(twowst_to_sst_sf(random_twowst(rng)))
         except CapExceeded:
             pass
-        except ValueError as exc:
-            assert "recursion divergence" in str(exc)
     sources += [wrapped_sst(random_copyless_sst(rng)) for _ in range(200)]
     for s in sources:
         words = [random_upword(rng, "ab", 2, 2) for _ in range(4)]
@@ -418,10 +471,44 @@ def test_eliminated_machine_runs_like_its_guarded_source():
                 with pytest.raises(NotInDomain):
                     run_output_sst_sf(s, w, 8)
             continue
+        assert is_1_bounded(elim) == (True, None)
         for w in words:
             for k in (8, 64):
                 expect = _output_or_none(run_output_sst_sf, s, w, k)
                 assert _output_or_none(run_output, elim, w, k) == expect, (w, k)
+
+
+def test_conversion_runs_like_the_two_way_machine_on_random_draws():
+    """3,000 random two-way machines (seed 11, 1,500 each with up to 3 and
+    up to 4 states), 6 words each at k = 10: the guarded machine gives
+    run_2wst's output or rejection on every word.  Only conversions past
+    the default state cap are skipped.  Every eleventh converted machine is
+    also eliminated, and the elimination is 1-bounded and runs like the
+    source, or has an empty domain where the source rejects every word."""
+    rng = random.Random(11)
+    skipped = eliminated = 0
+    for i in range(3000):
+        t = random_twowst(rng, max_states=3 if i < 1500 else 4)
+        words = [random_upword(rng, "ab", 3, 3) for _ in range(6)]
+        try:
+            s = twowst_to_sst_sf(t)
+        except CapExceeded:
+            skipped += 1
+            continue
+        expect = [_output_or_none(run_2wst, t, w, 10) for w in words]
+        assert [_output_or_none(run_output_sst_sf, s, w, 10) for w in words] == expect, i
+        if i % 11:
+            continue
+        try:
+            elim = eliminate_lookaround(s)
+        except ValueError as exc:
+            assert "empty domain" in str(exc)
+            assert expect == [None] * len(words), i
+            continue
+        eliminated += 1
+        assert is_1_bounded(elim) == (True, None), i
+        assert [_output_or_none(run_output, elim, w, 10) for w in words] == expect, i
+    assert (skipped, eliminated) == (3, 134)
 
 
 # y and z swap a and b on every loop, and x takes y's letter
@@ -444,16 +531,15 @@ def test_streaming_runners_stop_by_the_read_set(prefix, period, rows, expect):
     values repeat with a non-empty or an empty block of output, and
     variables outside R, growing or not, are never computed.  Values of a
     copyless R end up constant, so a longer period needs a copyful machine,
-    which only the plain runner takes."""
+    which the guarded runner takes too."""
     t = one_state_sst(rows)
     w = UPWord(prefix, period)
     k = len(expect)
     assert unrolled_output(t, w, k) == expect
     assert run_output(t, w, k) == expect
-    if all(is_copyless(subst) for subst in t.update.values()):
-        wrap = wrapped_sst(t)
-        assert run_output_sst_sf(wrap, w, k) == expect
-        assert run_output(eliminate_lookaround(wrap), w, k) == expect
+    wrap = wrapped_sst(t)
+    assert run_output_sst_sf(wrap, w, k) == expect
+    assert run_output(eliminate_lookaround(wrap), w, k) == expect
 
 
 def test_streaming_work_does_not_grow_with_k(monkeypatch):
@@ -522,9 +608,6 @@ def test_negative_k_is_refused_and_k_0_still_checks_the_domain():
                 run(machine, w, k)
         assert run(machine, w, 0) == ""
         assert run(machine, w, 3) == "baa"
-    # Only the sources reject (a#)^w: the compiled machines accept every
-    # state set (a known defect of twowst_to_sst_sf).
-    for run, machine in sources:
         with pytest.raises(NotInDomain):
             run(machine, UPWord("", "a#"), 0)
 

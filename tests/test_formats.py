@@ -109,6 +109,38 @@ def test_parse_errors_carry_line_numbers():
         )
 
 
+@pytest.mark.parametrize("line", [
+    "pos: x,a: La(x)",
+    "pos: 1,a: La(x)\nord: 1,x: x < y",
+])
+def test_copy_numbers_that_are_not_counts_are_refused_with_a_line(line):
+    text = "kind: fot\nalphabet: a\ncopies: 1\ndom: E x. (La(x))\n" + line + "\n"
+    lineno = text.count("\n")
+    with pytest.raises(FormatError, match="line %d: copy numbers are counts, got 'x'" % lineno):
+        parse_machine_text(text)
+
+
+@pytest.mark.parametrize("line, key", [
+    ("start: X := bb", "start"),
+    ("muller: {q}", "muller"),
+    ("trans: q, _, a, _ -> q, \"a\", +1", "trans"),
+    ("copies: 2", "copies"),
+])
+def test_directives_of_another_kind_are_refused_with_a_line(line, key):
+    text = _ONE_STATE_SST + line + "\n"
+    with pytest.raises(FormatError,
+                       match="line 9: unknown directive '%s' for kind 'sst'" % key):
+        parse_machine_text(text)
+
+
+def test_every_shipped_and_golden_file_parses():
+    paths = sorted(p for p in MACHINES.iterdir() if p.name != "corpus.txt")
+    paths += sorted(GOLDEN.iterdir())
+    assert len(paths) == 11
+    for path in paths:
+        parse_machine(path)
+
+
 def test_validation_errors_become_format_errors():
     with pytest.raises(FormatError, match="delta is not total"):
         parse_machine_text(
