@@ -256,7 +256,7 @@ def build_parser():
 
     p = sub.add_parser("check-aperiodic", help="decide counter-freeness")
     p.add_argument("machine")
-    p.add_argument("--cap", type=int, help="monoid element cap")
+    p.add_argument("--cap", type=int, help="cap on monoid elements generated before a witness")
     p.set_defaults(func=_cmd_check_aperiodic)
 
     p = sub.add_parser("check-1bounded", help="decide flow boundedness")

@@ -196,6 +196,16 @@ def _crossing_map(cross, left):
                  if s in left)
 
 
+def _is_loop(P, succ):
+    """Whether a run can visit exactly the states of P forever: the
+    transitions inside P make it one strongly connected component with at
+    least one transition, so a single state needs a loop."""
+    def inside(st):
+        return [st2 for st2 in succ.get(st, ()) if st2 in P]
+
+    return len(_sccs(P, inside)) == 1 and any(inside(st) for st in P)
+
+
 def twowst_to_sst_sf(t, cap=12):
     """One-pass guarded transducer equivalent to the two-way machine.
 
@@ -203,8 +213,10 @@ def twowst_to_sst_sf(t, cap=12):
     cell in state q; for each state s in which a left move can enter the
     last cell read, f[s] is the state in which the head, started there in
     s, first enters the next cell, with the states it visits on the way,
-    and X_s holds the output on the way; V is the set of states the run
-    visited between its first entries into the last cell and the next.
+    and X_s holds the output on the way (only such states s have a
+    variable, since no other state holds a crossing); V is the set of states
+    the run visited between its first entries into the last cell and the
+    next.
     Reading a cell, _crossings works out the new f from the old one, O
     takes the crossing of q and every other X_s the crossing of s.  The
     start values of the X_s are the crossings of the end marker.  X_q is
@@ -218,8 +230,9 @@ def twowst_to_sst_sf(t, cap=12):
     one cell and the next: in the V of exactly one cell.  The states it
     visits forever are therefore the union of the V over the states of the
     guarded run's loop, and a set P of states gets the output rule O iff
-    that union over P is an accepting set of the source.  P lies inside
-    one strongly connected component, so only subsets of components are
+    that union over P is an accepting set of the source and P is a loop: a
+    run can visit exactly P forever (_is_loop).  Such a P lies inside one
+    strongly connected component, so only subsets of components are
     listed.  A cell the head never leaves to the right has no crossing for
     the current state, and the guarded machine has no row there.
 
@@ -239,8 +252,8 @@ def twowst_to_sst_sf(t, cap=12):
         if a == MARK and (r, p) != (None, None):
             raise ValueError(
                 "end-marker transitions must not carry guards (state %r)" % (q,))
-    variables = tuple("X_%s" % q for q in t.states) + ("O",)
     left = {q2 for q2, _out, move in t.delta.values() if move == LEFT}
+    variables = tuple("X_%s" % q for q in t.states if q in left) + ("O",)
     marker = _crossings(t, {}, None, MARK, None)
     f0 = _crossing_map(marker, left)
     start_values = {"X_%s" % s: "".join(c for _, c in marker[s][1]) for s, _ in f0}
@@ -295,7 +308,7 @@ def twowst_to_sst_sf(t, cap=12):
     for comp in _sccs(states, lambda st: succ.get(st, ())):
         for n in range(1, 1 << len(comp)):
             P = frozenset(st for i, st in enumerate(comp) if n >> i & 1)
-            if frozenset().union(*(st[2] for st in P)) in accepting:
+            if frozenset().union(*(st[2] for st in P)) in accepting and _is_loop(P, succ):
                 output[P] = ("O",)
     return SstSf(
         states,

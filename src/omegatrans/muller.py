@@ -333,7 +333,7 @@ class Monoid:
 
     elements maps each matrix to its shortlex-least generating word (the empty
     word names the identity), and lists them in shortlex order of those words
-    (generate_monoid proves it).
+    (shortlex_elements proves it).
     """
 
     def __init__(self, elements, identity):
@@ -347,25 +347,27 @@ class Monoid:
         return list(self.elements.values())
 
 
-def generate_monoid(generators, identity, cap=10 ** 6):
-    """Close letter matrices under product, breadth-first by word length.
+def shortlex_elements(generators, identity, cap=10 ** 6):
+    """Yield (element, least word) pairs of the monoid the letter matrices
+    generate, breadth-first by word length, the identity first.
 
     generators: {letter: matrix}, the letters single characters.  Raises
-    CapExceeded past cap elements.  Each element is stored with its
-    shortlex-least word, and the elements are inserted in shortlex order of
-    those words, so iterating over them needs no sort.  By induction on the
-    length n: the frontier of length n holds the elements first reached by
-    words of length n, each with its least word, in lexicographic order.
-    Let m be first reached at length n + 1, with least word u·a.  The
-    element of u has least word u: a word u' < u with the same element
-    would give u'·a < u·a with the element m.  It is not reached by a
-    shorter word either, so it sits in the frontier of length n.  The
-    frontier is scanned in lexicographic order with the letters sorted, so
-    the words u·a are produced in lexicographic order, and the first one
-    that yields m is its least word.  New elements therefore enter, and
-    make up the next frontier, in lexicographic order.
+    CapExceeded when an element past cap elements would be yielded.  Each
+    element is yielded once, with its shortlex-least word, and the elements
+    come in shortlex order of those words.  By induction on the length n:
+    the frontier of length n holds the elements first reached by words of
+    length n, each with its least word, in lexicographic order.  Let m be
+    first reached at length n + 1, with least word u·a.  The element of u
+    has least word u: a word u' < u with the same element would give
+    u'·a < u·a with the element m.  It is not reached by a shorter word
+    either, so it sits in the frontier of length n.  The frontier is
+    scanned in lexicographic order with the letters sorted, so the words
+    u·a are produced in lexicographic order, and the first one that yields
+    m is its least word.  New elements therefore come, and make up the next
+    frontier, in lexicographic order.
     """
-    elements = {identity: ""}
+    seen = {identity}
+    yield identity, ""
     frontier = [(identity, "")]
     letters = sorted(generators)
     while frontier:
@@ -373,18 +375,28 @@ def generate_monoid(generators, identity, cap=10 ** 6):
         for m, w in frontier:
             for a in letters:
                 m2 = m * generators[a]
-                if m2 not in elements:
-                    if len(elements) >= cap:
+                if m2 not in seen:
+                    if len(seen) >= cap:
                         raise CapExceeded("monoid exceeded %d elements" % cap)
-                    elements[m2] = w + a
+                    seen.add(m2)
                     new_frontier.append((m2, w + a))
+                    yield m2, w + a
         frontier = new_frontier
-    return Monoid(elements, identity)
+
+
+def generate_monoid(generators, identity, cap=10 ** 6):
+    """The whole monoid of shortlex_elements, in its order."""
+    return Monoid(dict(shortlex_elements(generators, identity, cap)), identity)
+
+
+def _dma_generators(dma):
+    """Letter matrices and identity of the transition monoid."""
+    gens = {a: matrix_of_word_direct(dma, a) for a in dma.alphabet}
+    return gens, identity_matrix(dma.states, dma.muller_sets)
 
 
 def dma_monoid(dma, cap=10 ** 6):
-    gens = {a: matrix_of_word_direct(dma, a) for a in dma.alphabet}
-    return generate_monoid(gens, identity_matrix(dma.states, dma.muller_sets), cap)
+    return generate_monoid(*_dma_generators(dma), cap)
 
 
 def power_cycle_length(m):
@@ -399,13 +411,16 @@ def power_cycle_length(m):
     return k - seen[cur]
 
 
-def aperiodicity_witness(monoid):
-    """Shortlex-least generating word of a non-stabilizing element, or None.
+def aperiodicity_witness(generators, identity, cap=10 ** 6):
+    """Shortlex-least word of an element whose powers cycle, or None.
 
     None means every element satisfies M^n = M^(n+1) for some n, i.e. the
-    monoid is counter-free.
+    monoid is counter-free.  shortlex_elements yields the elements in
+    shortlex order of their least words, so the first one that cycles
+    carries the least witness, and generation stops there; cap bounds the
+    elements generated before a witness.
     """
-    for m, w in monoid.elements.items():
+    for m, w in shortlex_elements(generators, identity, cap):
         if power_cycle_length(m) != 1:
             return w
     return None
@@ -413,5 +428,5 @@ def aperiodicity_witness(monoid):
 
 def is_aperiodic(dma, cap=10 ** 6):
     """(verdict, witness): witness is a word whose matrix powers cycle."""
-    w = aperiodicity_witness(dma_monoid(dma, cap))
+    w = aperiodicity_witness(*_dma_generators(dma), cap)
     return (w is None), w

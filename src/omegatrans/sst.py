@@ -447,9 +447,13 @@ def flow_matrix_direct(t, factor, saturate=True):
     return _flow_space(t, saturate).element(runs)
 
 
+def _flow_generators(t):
+    """Letter flow matrices and identity of the flow monoid."""
+    return {a: flow_matrix_direct(t, a) for a in t.alphabet}, _flow_space(t, True).identity()
+
+
 def sst_monoid(t, cap=10 ** 6):
-    gens = {a: flow_matrix_direct(t, a) for a in t.alphabet}
-    return generate_monoid(gens, _flow_space(t, True).identity(), cap)
+    return generate_monoid(*_flow_generators(t), cap)
 
 
 def is_1_bounded(t, cap=10 ** 6):
@@ -478,7 +482,7 @@ def is_1_bounded(t, cap=10 ** 6):
     (q, y1, y2, True) with y1 != y2 iff the counts of one x into y1 and y2
     are both at least 1, and (q, y, y, True) iff some count into y is 2.  The set of w·u depends only on the set of w
     and on u, so the breadth-first search in sorted letter order keeps only
-    the first word of each set, as generate_monoid does with elements, and
+    the first word of each set, as shortlex_elements does with elements, and
     meets every set first at its shortlex-least word.  The first set with a
     count of 2 thus names the shortlex-least word whose flow element has
     one, the witness a scan of sst_monoid in shortlex order finds, and the
@@ -530,7 +534,7 @@ def is_1_bounded(t, cap=10 ** 6):
 
 def is_aperiodic_sst(t, cap=10 ** 6):
     """(verdict, witness): witness is a word whose flow-matrix powers cycle."""
-    w = aperiodicity_witness(sst_monoid(t, cap))
+    w = aperiodicity_witness(*_flow_generators(t), cap)
     return (w is None), w
 
 

@@ -537,12 +537,16 @@ def compose_behaviors(x1, x2):
     return TwowstElement(t, eta_b, eta_a, m_a, tables)
 
 
+def _twowst_generators(t):
+    """Letter elements and identity of the two-way monoid."""
+    return {ch: element_of_word(t, ch) for ch in t.alphabet}, identity_element(t)
+
+
 def twowst_monoid(t, cap=10 ** 6):
-    gens = {ch: element_of_word(t, ch) for ch in t.alphabet}
-    return generate_monoid(gens, identity_element(t), cap)
+    return generate_monoid(*_twowst_generators(t), cap)
 
 
 def is_aperiodic_2wst(t, cap=10 ** 6):
     """(verdict, witness): witness is a word whose element powers cycle."""
-    w = aperiodicity_witness(twowst_monoid(t, cap))
+    w = aperiodicity_witness(*_twowst_generators(t), cap)
     return (w is None), w

@@ -87,11 +87,21 @@ def test_compare_rejects_words_outside_the_alphabet(tmp_path, capsys):
 
 
 def test_monoid_cap_exits_3(capsys):
+    # monoid generates every element; check-aperiodic stops at the first
+    # witness, so only a cap below the witness's element exits 3
     assert main(["monoid", SETTLING_DMA, "--cap", "2"]) == 3
-    assert main(["check-aperiodic", SETTLING_DMA, "--cap", "2"]) == 3
+    assert main(["check-aperiodic", SETTLING_DMA, "--cap", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: monoid exceeded 2 elements"] * 2
+    assert captured.err.splitlines() == ["error: monoid exceeded 2 elements",
+                                         "error: monoid exceeded 1 elements"]
+
+
+def test_check_aperiodic_returns_a_witness_found_inside_the_cap(capsys):
+    assert main(["check-aperiodic", SETTLING_DMA, "--cap", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "not aperiodic (witness: a)\n"
+    assert captured.err == ""
 
 
 def test_check_verbs_exit_by_verdict(capsys):

@@ -123,17 +123,46 @@ def test_mirror_conversion_states():
     assert s.initial == ("t", from_marker, frozenset())
     assert s.states == (s.initial, ("t", from_separator, frozenset("t")),
                         ("t", from_marker, frozenset("tpq")))
-    assert s.variables == ("X_t", "X_p", "X_q", "O")
+    assert s.variables == ("X_p", "O")
     assert all(v == "" for v in s.initial_values().values())
     assert list(s.F.items()) == [(frozenset([s.states[1]]), ("O",))]
+
+
+def test_output_rules_only_for_sets_a_run_can_settle_in():
+    """A one-way source over p and r: a keeps the state, b swaps it.  A
+    guarded state is (state, (), {previous state}), the four after the
+    first letter form one component, and 12 of its subsets have a Muller
+    union of V.  Only 5 are loops; {(p, {p}), (r, {r})}, for one, has no
+    transition between its states, and {(r, {p})} no loop."""
+    delta = {
+        ("p", None, "a", None): ("p", "a", RIGHT),
+        ("p", None, "b", None): ("r", "b", RIGHT),
+        ("r", None, "a", None): ("r", "c", RIGHT),
+        ("r", None, "b", None): ("p", "d", RIGHT),
+    }
+    t = TwoWst("pr", "ab", "p", delta, [{"p", "r"}, {"p"}])
+    s = twowst_to_sst_sf(t)
+    comp = s.states[1:]
+    assert len(comp) == 4 and all(len(st[2]) == 1 for st in comp)
+    unions = [frozenset().union(*(st[2] for i, st in enumerate(comp) if n >> i & 1))
+              for n in range(1, 1 << len(comp))]
+    assert sum(u in t.muller_sets for u in unions) == 12
+    assert len(s.F) == 5
+    assert frozenset(st for st in comp if st[2] == {st[0]}) not in s.F
+    assert frozenset(st for st in comp if (st[0], st[2]) == ("r", {"p"})) not in s.F
+    for w in (UPWord("", "a"), UPWord("", "b"), UPWord("b", "a"), UPWord("", "ab"),
+              UPWord("a", "abb"), UPWord("ab", "aab")):
+        assert _output_or_none(run_output_sst_sf, s, w, 12) == _output_or_none(
+            run_2wst, t, w, 12), w
 
 
 def test_rightward_loop_appends_to_the_output_variable():
     t = TwoWst("q", "a", "q", {("q", None, "a", None): ("q", "g", RIGHT)}, [{"q"}])
     s = twowst_to_sst_sf(t)
     key = (s.initial, None, "a", None)
-    assert s.update[key]["O"] == (("var", "O"), ("lit", "g"))
-    assert s.update[key]["X_q"] == ()
+    # no left move, so no crossing variable
+    assert s.variables == ("O",)
+    assert s.update[key] == {"O": (("var", "O"), ("lit", "g"))}
 
 
 def test_stay_step_is_composed_into_one_crossing():
@@ -336,7 +365,7 @@ def test_elimination_of_the_mirror_lookahead():
     s = twowst_to_sst_sf(mirror_twowst())
     elim = eliminate_lookaround(s)
     assert len(elim.states) == 5
-    assert len(elim.variables) == 8
+    assert len(elim.variables) == 4
     assert sorted(elim.F.values()) == [("O@1",), ("O@1",)]
     assert run_output(elim, UPWord("ab#", "a"), 20) == "baab#" + "a" * 15
 

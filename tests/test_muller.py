@@ -13,9 +13,10 @@ from omegatrans.fixtures import (
     plain_copier_twowst,
     random_copyless_sst,
     settling_loops_dma,
+    settling_loops_sst,
 )
-from omegatrans.sst import sst_monoid
-from omegatrans.twowst import twowst_monoid
+from omegatrans.sst import is_aperiodic_sst, sst_monoid
+from omegatrans.twowst import is_aperiodic_2wst, twowst_monoid
 
 
 def entries_of(m):
@@ -287,3 +288,38 @@ def test_flow_and_two_way_monoids_list_their_elements_in_shortlex_order():
         assert _in_shortlex_order(sst_monoid(random_copyless_sst(rng)))
     for t in (mirror_twowst(), alternating_copier_twowst(), plain_copier_twowst()):
         assert _in_shortlex_order(twowst_monoid(t))
+
+
+def _scan_verdict(mon):
+    """The full-scan rule: the first element of the whole monoid, in its
+    shortlex order, whose powers cycle."""
+    w = next((w for m, w in mon.elements.items() if mu.power_cycle_length(m) != 1), None)
+    return (w is None), w
+
+
+def test_early_witness_equals_the_full_scan():
+    dmas = [settling_loops_dma(), last_letter_dma()]
+    rng = random.Random(12)
+    ssts = [random_copyless_sst(rng) for _ in range(100)] + [settling_loops_sst()]
+    twowsts = [mirror_twowst(), alternating_copier_twowst(), plain_copier_twowst()]
+    cases = (
+        [(mu.is_aperiodic, mu.dma_monoid, d) for d in dmas]
+        + [(is_aperiodic_sst, sst_monoid, t) for t in ssts]
+        + [(is_aperiodic_2wst, twowst_monoid, t) for t in twowsts])
+    stopped_early = 0
+    for verdict, monoid, m in cases:
+        mon = monoid(m)
+        expected = _scan_verdict(mon)
+        assert verdict(m) == expected
+        if expected[0]:
+            continue
+        # the scan stops at the witness's element: a cap of its position
+        # is enough, and one less is not
+        position = list(mon.elements.values()).index(expected[1]) + 1
+        assert position < len(mon)
+        assert verdict(m, cap=position) == expected
+        with pytest.raises(mu.CapExceeded):
+            verdict(m, cap=position - 1)
+        stopped_early += 1
+    # 67 of the c08 machines, both settling machines and the alternating copier
+    assert stopped_early == 70
