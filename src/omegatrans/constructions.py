@@ -7,9 +7,11 @@ the source.  Its states record, per cell, where the head crosses into the
 next cell from each state a left move can enter, and which two-way states
 it visits on the way; rows whose crossings share an excursion copy its
 variable, but a run realizes at most one of the copies, so the result is
-1-bounded, not copyless.  eliminate_lookaround then removes the guards by a subset
-construction over configurations that track, besides the state, one
-look-behind run per start state and the set of pending look-ahead claims.
+1-bounded, not copyless.  Its variables start empty, as on every streaming
+machine here: the end marker's output is written by the rows that leave
+the initial state.  eliminate_lookaround then removes the guards by a
+subset construction over configurations that track, besides the state,
+the look-behind state of the run and the set of pending look-ahead claims.
 The result is a plain Sst that sst.run_output runs without its source.
 compare_outputs is the harness that checks any two model implementations
 against each other on a corpus of words.
@@ -26,7 +28,8 @@ from .fot import Fot, run_fot
 from .muller import CapExceeded
 from .sst import (PAD, NotInDomain, Sst, check_length, check_output_shape, run_output,
                   stream_output, streaming_fields)
-from .twowst import LEFT, MARK, RIGHT, TwoWst, _WordContext, guarded_row, run_2wst
+from .twowst import (LEFT, MARK, RIGHT, TwoWst, _WordContext, guarded_row, guarded_rows,
+                     run_2wst)
 from .words import UPWord, first_divergence, lasso
 
 
@@ -39,55 +42,34 @@ class SstSf:
     one where several fire is an error caught at run time.  The variables,
     updates and output rules F are checked by sst.streaming_fields, as on a
     plain Sst; rows may copy, and whether copies stay 1-bounded is checked on
-    the plain machine eliminate_lookaround gives (sst.is_1_bounded).
-    start_values lets variables begin with non-empty content; a plain Sst
-    always starts empty, so eliminate_lookaround writes them as literals on
-    its first transition.
+    the plain machine eliminate_lookaround gives (sst.is_1_bounded).  Every
+    variable starts empty, as on a plain Sst.
     """
 
     def __init__(self, states, alphabet, initial, delta, variables, update,
-                 F, lookahead=None, lookbehind=None, start_values=None):
+                 F, lookahead=None, lookbehind=None):
         self.states = tuple(states)
         self.alphabet = tuple(alphabet)
         self.initial = initial
         self.lookahead = lookahead
         self.lookbehind = lookbehind
-        if initial not in self.states:
-            raise ValueError("initial state %r not a state" % (initial,))
         self.delta = dict(delta)
-        self._by_qa = {}
+        self._by_qa = guarded_rows(self, self.alphabet, lambda key: key)
         for key, q2 in self.delta.items():
-            q, r, a, p = key
-            if q not in self.states or q2 not in self.states:
+            if q2 not in self.states:
                 raise ValueError("transition %r -> %r leaves the state set" % (key, q2))
-            if a not in self.alphabet:
-                raise ValueError("transition %r reads an unknown letter" % (key,))
-            if r is not None:
-                if lookbehind is None or r not in lookbehind.states:
-                    raise ValueError("unknown lookbehind guard %r" % (r,))
-            if p is not None:
-                if lookahead is None or p not in lookahead.states:
-                    raise ValueError("unknown lookahead guard %r" % (p,))
-            self._by_qa.setdefault((q, a), []).append((r, p, key))
         self.variables, self.update, self.F, self.muller_sets = streaming_fields(
             self.states, self.delta, variables, update, F
         )
-        self.start_values = {x: "" for x in self.variables}
-        for x, v in (start_values or {}).items():
-            if x not in self.variables:
-                raise ValueError("start value for unknown variable %r" % (x,))
-            self.start_values[x] = v
-
-    def initial_values(self):
-        return dict(self.start_values)
 
 
 Configuration = namedtuple("Configuration", ["state", "behind", "claims"])
 Configuration.__doc__ = """One step of the guard-tracking product.
 
-state is the machine state, behind the tuple of lookbehind states reached
-from every start state on the prefix so far, claims the set of lookahead
-states whose acceptance the run has promised and pushed forward."""
+state is the machine state, behind the state the lookbehind automaton
+reaches from its initial state on the prefix so far (None without one),
+claims the set of lookahead states whose acceptance the run has promised
+and pushed forward."""
 
 
 def _advance(s, cfg, key):
@@ -95,7 +77,7 @@ def _advance(s, cfg, key):
     _, _, a, p = key
     b = s.lookbehind
     a_aut = s.lookahead
-    behind = tuple(b.step(x, a) for x in cfg.behind) if b else ()
+    behind = b.step(cfg.behind, a) if b else None
     claims = frozenset(a_aut.step(x, a) for x in cfg.claims) if a_aut else frozenset()
     if p is not None:
         claims = claims | {p}
@@ -147,7 +129,7 @@ def run_output_sst_sf(s, word, k):
 
     states, entry, _ = lasso(s.initial, step, ctx.entry_pos - 1, ctx.cycle_len)
     seq = _output_rule(s, states[entry:])
-    return stream_output(s.initial_values(), [s.update[key] for key in keys], entry, seq, k)
+    return stream_output([s.update[key] for key in keys], entry, seq, k)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +200,17 @@ def twowst_to_sst_sf(t, cap=12):
     the run visited between its first entries into the last cell and the
     next.
     Reading a cell, _crossings works out the new f from the old one, O
-    takes the crossing of q and every other X_s the crossing of s.  The
-    start values of the X_s are the crossings of the end marker.  X_q is
+    takes the crossing of q and every other X_s the crossing of s.  X_q is
     emptied: a crossing that re-enters the cell in q repeats the run from
     there, so it comes back to the next cell in the state the run first
     entered it in, and a crossing through X_q either loops or follows the
     run and never reaches O.
+
+    The initial state (q0, f0, ∅) holds the crossings of the end marker in
+    f0, and its rows write the marker's output as literals where they read
+    an X_s, so every variable starts empty.  No row enters the initial
+    state, since every other V holds at least the state its crossing
+    started in.
 
     The head starts on the first letter and, on a word it accepts, enters
     every cell, so each of its steps falls between its first entries into
@@ -256,7 +243,7 @@ def twowst_to_sst_sf(t, cap=12):
     variables = tuple("X_%s" % q for q in t.states if q in left) + ("O",)
     marker = _crossings(t, {}, None, MARK, None)
     f0 = _crossing_map(marker, left)
-    start_values = {"X_%s" % s: "".join(c for _, c in marker[s][1]) for s, _ in f0}
+    marker_output = {("var", "X_%s" % s): marker[s][1] for s, _ in f0 if marker[s][1]}
     init = (t.initial, f0, frozenset())
     cells = []
     for a in t.alphabet:
@@ -298,6 +285,9 @@ def twowst_to_sst_sf(t, cap=12):
             for s, _ in f2:
                 if s != q:
                     subst["X_%s" % s] = cross[s][1]
+            if st == init:
+                subst = {x: sum((marker_output.get(item, (item,)) for item in rhs), ())
+                         for x, rhs in subst.items()}
             update[key] = subst
 
     succ = {}
@@ -320,7 +310,6 @@ def twowst_to_sst_sf(t, cap=12):
         output,
         lookahead=t.lookahead,
         lookbehind=t.lookbehind,
-        start_values=start_values,
     )
 
 
@@ -329,11 +318,11 @@ def twowst_to_sst_sf(t, cap=12):
 
 
 def _order_key(s):
-    """Total order on configurations: state index, then lookbehind run, then
+    """Total order on configurations: state index, then lookbehind state, then
     sorted claim indices."""
     state_order = {q: i for i, q in enumerate(s.states)}
     b_order = (
-        {r: i for i, r in enumerate(s.lookbehind.states)} if s.lookbehind else {}
+        {r: i for i, r in enumerate(s.lookbehind.states)} if s.lookbehind else {None: 0}
     )
     a_order = (
         {p: i for i, p in enumerate(s.lookahead.states)} if s.lookahead else {}
@@ -342,7 +331,7 @@ def _order_key(s):
     def key(cfg):
         return (
             state_order[cfg.state],
-            tuple(b_order[r] for r in cfg.behind),
+            b_order[cfg.behind],
             tuple(sorted(a_order[p] for p in cfg.claims)),
         )
 
@@ -352,8 +341,7 @@ def _order_key(s):
 def _config_graph(s, cap):
     """Reachable configurations and their letter/row edges."""
     b = s.lookbehind
-    start = Configuration(s.initial, tuple(b.states) if b else (), frozenset())
-    b_index = b.states.index(b.initial) if b else None
+    start = Configuration(s.initial, b.initial if b else None, frozenset())
     rows_by_state = {}
     for key in s.delta:
         rows_by_state.setdefault(key[0], []).append(key)
@@ -367,7 +355,7 @@ def _config_graph(s, cap):
         cfg = queue.popleft()
         for key in rows_by_state.get(cfg.state, ()):
             r = key[1]
-            if r is not None and r != cfg.behind[b_index]:
+            if r is not None and r != cfg.behind:
                 continue
             cfg2 = _advance(s, cfg, key)
             if cfg2 not in adj:
@@ -556,8 +544,7 @@ def eliminate_lookaround(s, cap=4096):
     covering walk is followed around its subset lasso, and the output rule
     reads the first slot its configurations occupy there that keeps the
     streaming shape (sst.check_output_shape); a subset loop that two
-    components would give different rules gets none.  Non-empty start values
-    are written as literals by a fresh initial state that steps like {start}.
+    components would give different rules gets none.
     """
     start, adj, parts, useful = _useful_parts(s, cap)
     if start not in useful:
@@ -616,18 +603,6 @@ def eliminate_lookaround(s, cap=4096):
     variables = tuple(
         _slot(x, j) for j in range(max(map(len, states))) for x in s.variables
     )
-    initial = S0
-    if any(s.start_values.values()):
-        initial = "init"
-        states.insert(0, initial)
-        seeds = {("var", _slot(x, 0)): tuple(("lit", ch) for ch in v)
-                 for x, v in s.start_values.items()}
-        for a in s.alphabet:
-            delta2[(initial, a)] = delta2[(S0, a)]
-            update2[(initial, a)] = {
-                v: tuple(lit for item in rhs for lit in seeds.get(item, (item,)))
-                for v, rhs in update2[(S0, a)].items()
-            }
     for subst in update2.values():
         for v in variables:
             subst.setdefault(v, ())
@@ -667,7 +642,7 @@ def eliminate_lookaround(s, cap=4096):
     for Pprime in conflicted:
         output2.pop(Pprime, None)
 
-    result = Sst(states, s.alphabet, initial, delta2, variables, update2, output2)
+    result = Sst(states, s.alphabet, S0, delta2, variables, update2, output2)
     result._elimination = {"configs": sorted(useful, key=order_key)}
     return result
 

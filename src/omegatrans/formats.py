@@ -7,7 +7,7 @@ with "#" are skipped.  The kinds:
     dfa     like dma without the muller line (used embedded, for lookbehind)
     sst     adds vars:, update: q,a: X := aXb; Y := YX, output: {q} -> x z
     sst-sf  the sst format with guarded keys q, r, a, p in its delta: and
-            update: lines, "_" for an absent guard, and optional start: lines
+            update: lines, "_" for an absent guard
     2wst    trans: q, r, a, p -> q', "out", +1|0|-1 with the same guarded keys
     fot     alphabet:/copies:/dom:/pos: c,g: formula/ord: c,d: formula
 
@@ -75,9 +75,9 @@ def _split_sections(text):
 def _block(lines):
     """(kind, fields) of a block of lines led by its `kind:` line.
 
-    fields maps each directive to its (lineno, rest) pairs.  A directive
-    the kind does not list is refused, and so is a second line of one of
-    its single directives.
+    fields maps each directive to its (lineno, rest) pairs, and "kind" to
+    the `kind:` line's.  A directive the kind does not list is refused, and
+    so is a second line of one of its single directives.
     """
     if not lines or lines[0][1] != "kind":
         _fail(lines[0][0] if lines else 1, "the first line must be 'kind: ...'")
@@ -85,7 +85,7 @@ def _block(lines):
     if name not in KINDS:
         _fail(lineno, "unknown kind %r" % name)
     kind = KINDS[name]
-    fields = {}
+    fields = {"kind": [(lineno, name)]}
     for lineno, key, rest in lines[1:]:
         if key not in kind.single + kind.repeated:
             _fail(lineno, "unknown directive %r for kind %r" % (key, name))
@@ -96,8 +96,10 @@ def _block(lines):
 
 
 def _one(fields, key):
+    """The (lineno, rest) of a single directive; a missing one is reported
+    at its block's `kind:` line."""
     if key not in fields:
-        _fail(1, "missing %r line" % key)
+        _fail(fields["kind"][0][0], "missing %r line" % key)
     return fields[key][0]
 
 
@@ -227,7 +229,7 @@ def _parse_automaton(kind, fields, sections):
 
 
 def _parse_streaming(kind, fields, sections):
-    """An sst, or an sst-sf: the same lines with guarded keys, plus start: lines."""
+    """An sst, or an sst-sf: the same lines with guarded keys."""
     states, initial, alphabet = _parse_header(fields)
     _, vars_text = _one(fields, "vars")
     variables = tuple(vars_text.split())
@@ -245,17 +247,9 @@ def _parse_streaming(kind, fields, sections):
     rules = _parse_output(fields, variables)
     if not kind.guarded:
         return Sst(states, alphabet, initial, delta, variables, update, rules)
-    start_values = {}
-    for lineno, rest in fields.get("start", []):
-        if ":=" not in rest:
-            _fail(lineno, "expected 'X := text', got %r" % rest)
-        name, value = rest.split(":=", 1)
-        value = value.strip()
-        start_values[name.strip()] = "" if value == "ε" else value
     return SstSf(states, alphabet, initial, delta, variables, update, rules,
                  lookahead=sections.get("lookahead"),
-                 lookbehind=sections.get("lookbehind"),
-                 start_values=start_values or None)
+                 lookbehind=sections.get("lookbehind"))
 
 
 _MOVES = {"+1": RIGHT, "1": RIGHT, "0": STAY, "-1": LEFT}
@@ -405,10 +399,8 @@ def printable_machine(m):
         return Dma(states, m.alphabet, ren[m.initial], delta,
                    [frozenset(ren[q] for q in P) for P in m.muller_sets])
     var = _token_map(m.variables, "v")
-    guarded = {} if isinstance(m, Sst) else {
-        "lookahead": m.lookahead, "lookbehind": m.lookbehind,
-        "start_values": {var[x]: v for x, v in m.start_values.items()},
-    }
+    guarded = {} if isinstance(m, Sst) else {"lookahead": m.lookahead,
+                                             "lookbehind": m.lookbehind}
     return type(m)(
         states, m.alphabet, ren[m.initial], delta, [var[x] for x in m.variables],
         {key(k): {var[x]: tuple((tag, var[v] if tag == "var" else v) for tag, v in rhs)
@@ -502,7 +494,7 @@ def _print_automaton(kind, m):
 
 
 def _print_streaming(kind, m):
-    """An sst, or an sst-sf: the same lines with guarded keys, plus start: lines."""
+    """An sst, or an sst-sf: the same lines with guarded keys."""
     order = {q: i for i, q in enumerate(m.states)}
     lines = _header_lines(kind, m)
     lines.append("vars: %s" % " ".join(m.variables))
@@ -518,9 +510,6 @@ def _print_streaming(kind, m):
             "output: %s -> %s" % (_fmt_set(P, order), " ".join(m.F[P]))
         )
     if kind.guarded:
-        for x in m.variables:
-            if m.start_values.get(x, ""):
-                lines.append("start: %s := %s" % (x, m.start_values[x]))
         lines.extend(_section_lines(m))
     return lines
 
@@ -588,7 +577,7 @@ KINDS = {kind.name: kind for kind in (
     Kind("sst", Sst, _parse_streaming, _print_streaming, False,
          _HEADER + ("vars",), ("delta", "update", "output")),
     Kind("sst-sf", SstSf, _parse_streaming, _print_streaming, True,
-         _HEADER + ("vars",), ("delta", "update", "output", "start")),
+         _HEADER + ("vars",), ("delta", "update", "output")),
     Kind("2wst", TwoWst, _parse_2wst, _print_2wst, True, _HEADER, ("trans", "muller")),
     Kind("fot", Fot, _parse_fot, _print_fot, False,
          ("alphabet", "copies", "dom"), ("pos", "ord")),

@@ -401,14 +401,7 @@ def dma_monoid(dma, cap=10 ** 6):
 
 def power_cycle_length(m):
     """Length of the cycle the powers of m eventually enter."""
-    seen = {}
-    cur = m
-    k = 1
-    while cur not in seen:
-        seen[cur] = k
-        cur = cur * m
-        k += 1
-    return k - seen[cur]
+    return lasso(m, lambda cur, _col: cur * m, 0, 1)[2]
 
 
 def aperiodicity_witness(generators, identity, cap=10 ** 6):

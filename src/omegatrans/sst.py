@@ -254,9 +254,6 @@ class Sst:
             seen.add(q)
         return q, seen
 
-    def initial_values(self):
-        return {x: "" for x in self.variables}
-
 
 class RunAnalysis:
     """Lasso data for a machine's unique state run on an ultimately periodic word.
@@ -316,13 +313,13 @@ def _loop_subst(loop, targets):
     return sigma
 
 
-def stream_output(vals, substs, entry, out_vars, k):
+def stream_output(substs, entry, out_vars, k):
     """First k letters of the limit of the word out_vars along a lasso run.
 
-    substs[c] takes the variable values of column c to those of column c+1,
-    and substs[entry:] is the loop the run repeats forever.  Its composition
-    σ keeps out_vars[:-1] fixed and sends the tail t = out_vars[-1] to
-    t·rest, because Sst and SstSf check their output rules when built and
+    Every variable is empty in column 0, substs[c] takes the variable values
+    of column c to those of column c+1, and substs[entry:] is the loop the
+    run repeats forever.  Its composition σ keeps out_vars[:-1] fixed and
+    sends the tail t = out_vars[-1] to t·rest, because Sst and SstSf check their output rules when built and
     the loop stays inside the rule's state set.  The output is then the
     value of out_vars at the entry followed by one piece per loop, rest
     spelled on the values before that loop.
@@ -357,6 +354,7 @@ def stream_output(vals, substs, entry, out_vars, k):
     for subst in reversed(substs[:entry]):
         prefix.append({x: subst[x] for x in need})
         need = set().union(*(_reads(rhs) for rhs in prefix[-1].values()))
+    vals = dict.fromkeys(need, "")
     for subst in reversed(prefix):
         vals = apply_subst(subst, vals)
 
@@ -397,13 +395,13 @@ def run_output(t, word, k):
     if not ana.in_domain:
         raise NotInDomain(ana.infinity)
     substs = [ana.update_at(col) for col in range(1, ana.entry_col + ana.cycle_cols + 1)]
-    return stream_output(t.initial_values(), substs, ana.entry_col, ana.output_seq, k)
+    return stream_output(substs, ana.entry_col, ana.output_seq, k)
 
 
 def values_after(t, word, i):
     """Variable contents after the run on word has consumed i letters."""
     ana = analyze_run(t, word)
-    vals = t.initial_values()
+    vals = dict.fromkeys(t.variables, "")
     for col in range(1, i + 1):
         vals = apply_subst(ana.update_at(col), vals)
     return vals

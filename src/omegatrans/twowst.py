@@ -83,35 +83,42 @@ class TwoWst:
         )
         self.lookahead = lookahead
         self.lookbehind = lookbehind
-        if initial not in self.states:
-            raise ValueError("initial state %r not a state" % (initial,))
         for m in self.muller_sets:
             if not m <= set(self.states):
                 raise ValueError("accepting set %r contains non-states" % (set(m),))
-        self._by_qa = {}
-        for (q, r, a, p), value in self.delta.items():
-            if q not in self.states:
-                raise ValueError("transition from unknown state %r" % (q,))
-            if a != MARK and a not in self.alphabet:
-                raise ValueError("transition on unknown letter %r" % (a,))
-            if r is not None:
-                if lookbehind is None:
-                    raise ValueError("lookbehind guard %r without a lookbehind automaton" % (r,))
-                if r not in lookbehind.states:
-                    raise ValueError("unknown lookbehind state %r" % (r,))
-            if p is not None:
-                if lookahead is None:
-                    raise ValueError("lookahead guard %r without a lookahead automaton" % (p,))
-                if p not in lookahead.states:
-                    raise ValueError("unknown lookahead state %r" % (p,))
-            q2, out, move = value
+        self._by_qa = guarded_rows(self, self.alphabet + (MARK,), self.delta.__getitem__)
+        for q2, out, move in self.delta.values():
             if q2 not in self.states:
                 raise ValueError("transition into unknown state %r" % (q2,))
             if move not in (LEFT, STAY, RIGHT):
                 raise ValueError("move must be -1, 0 or 1, got %r" % (move,))
             if not isinstance(out, str):
                 raise ValueError("output must be a string, got %r" % (out,))
-            self._by_qa.setdefault((q, a), []).append((r, p, value))
+
+
+def guarded_rows(m, letters, entry):
+    """The rows of m's guarded table by (state, letter), as guarded_row reads
+    them, with entry(key) as the value of the row.
+
+    Checks that m.initial is a state and that every key (q, r, a, p) of
+    m.delta leaves a state q on one of letters, with guards r and p that are
+    None or states of m.lookbehind and m.lookahead.
+    """
+    if m.initial not in m.states:
+        raise ValueError("initial state %r not a state" % (m.initial,))
+    rows = {}
+    for key in m.delta:
+        q, r, a, p = key
+        if q not in m.states:
+            raise ValueError("transition %r leaves the state set" % (key,))
+        if a not in letters:
+            raise ValueError("transition %r reads an unknown letter" % (key,))
+        if r is not None and (m.lookbehind is None or r not in m.lookbehind.states):
+            raise ValueError("unknown lookbehind guard %r" % (r,))
+        if p is not None and (m.lookahead is None or p not in m.lookahead.states):
+            raise ValueError("unknown lookahead guard %r" % (p,))
+        rows.setdefault((q, a), []).append((r, p, entry(key)))
+    return rows
 
 
 def guarded_row(rows, q, letter, behind, ahead_ok):

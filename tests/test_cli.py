@@ -86,6 +86,20 @@ def test_compare_rejects_words_outside_the_alphabet(tmp_path, capsys):
     assert {verdict for _, verdict, _ in rows} == {"equal", "both-reject"}
 
 
+def test_end_marker_output_survives_the_file_round_trip(tmp_path, capsys):
+    """marker.2wst prints x at the end marker before it reads a letter;
+    compiled and eliminated through files, it still prints that x."""
+    guarded = tmp_path / "marker.sst-sf"
+    plain = tmp_path / "marker.sst"
+    assert main(["compile", "2wst-to-sst", str(MACHINES / "marker.2wst"),
+                 "-o", str(guarded)]) == 0
+    assert main(["eliminate-la", str(guarded), "-o", str(plain)]) == 0
+    capsys.readouterr()
+    for machine in (MACHINES / "marker.2wst", guarded, plain):
+        assert main(["run", "-k", "12", str(machine), "(a)^w"]) == 0
+        assert capsys.readouterr().out == "x" + "a" * 11 + "\n", machine.name
+
+
 def test_monoid_cap_exits_3(capsys):
     # monoid generates every element; check-aperiodic stops at the first
     # witness, so only a cap below the witness's element exits 3
@@ -292,7 +306,7 @@ def test_every_verb_on_every_shipped_machine_exits_with_a_code(tmp_path, capsys)
     word = "ab#(a)^w"
     assert word in CORPUS_WORDS
     machines = sorted(p for p in MACHINES.iterdir() if p.name != "corpus.txt")
-    assert len(machines) == 5
+    assert len(machines) == 6
     for path in machines:
         for argv in _verbs(str(path), word, tmp_path):
             rc = main(argv)

@@ -102,7 +102,7 @@ def unrolled_output(t, w, k):
     """
     ana = analyze_run(t, w)
     columns = ana.entry_col + (k * 2 ** len(t.variables) + 1) * ana.cycle_cols
-    vals = t.initial_values()
+    vals = dict.fromkeys(t.variables, "")
     q = t.initial
     for col in range(1, columns + 1):
         a = w.letter_at(col)
@@ -116,7 +116,8 @@ def test_mirror_conversion_states():
     from the end marker or a letter, p first crosses to the right in q.
     The third component is the set of states the last cell's crossing
     visits: {t} on a letter, all three on a separator, whose crossing
-    walks back to the previous separator."""
+    walks back to the previous separator.  No row enters the initial
+    state, whose V alone is empty."""
     s = twowst_to_sst_sf(mirror_twowst())
     from_marker = (("p", ("q", frozenset("p"))),)
     from_separator = (("p", ("q", frozenset("pq"))),)
@@ -124,7 +125,7 @@ def test_mirror_conversion_states():
     assert s.states == (s.initial, ("t", from_separator, frozenset("t")),
                         ("t", from_marker, frozenset("tpq")))
     assert s.variables == ("X_p", "O")
-    assert all(v == "" for v in s.initial_values().values())
+    assert s.initial not in s.delta.values()
     assert list(s.F.items()) == [(frozenset([s.states[1]]), ("O",))]
 
 
@@ -282,8 +283,8 @@ def test_guarded_transducer_validation():
     """Rows may copy, as on a plain Sst; guards and letters are checked."""
     ahead = Dma("uv", "a", "u", {("u", "a"): "u", ("v", "a"): "u"}, [{"u"}])
     doubling = SstSf("z", "a", "z", {("z", None, "a", None): "z"}, ("X",),
-                     {("z", None, "a", None): {"X": parse_rhs("XX", ("X",))}},
-                     {frozenset("z"): ("X",)}, start_values={"X": "a"})
+                     {("z", None, "a", None): {"X": parse_rhs("XaX", ("X",))}},
+                     {frozenset("z"): ("X",)})
     assert run_output_sst_sf(doubling, UPWord("", "a"), 5) == "aaaaa"
     with pytest.raises(ValueError, match="unknown lookahead guard"):
         SstSf("z", "a", "z", {("z", None, "a", "w"): "z"}, ("X",),
@@ -328,7 +329,7 @@ def test_guarded_runner_checks_the_output_shape_of_the_loop(rows):
     with pytest.raises(ValueError, match="output variable '[XY]' must (be unchanged|extend itself)"):
         SstSf("z", "a", "z", {key: "z"}, xy,
               {key: {x: parse_rhs(rhs, xy) for x, rhs in rows.items()}},
-              {frozenset("z"): xy}, start_values={"X": "b"})
+              {frozenset("z"): xy})
 
 
 def test_overlapping_guards_are_an_error_at_run_time():
@@ -358,7 +359,7 @@ def test_useful_configurations_of_the_mirror():
     claims = sorted(sorted(c.claims) for c in useful)
     assert claims == [[], [], ["m"], ["m", "n"], ["m", "y"], ["n"], ["y"]]
     assert all(not {"y", "n"} <= set(c.claims) for c in useful)
-    assert all(c.behind == () for c in useful)
+    assert all(c.behind is None for c in useful)
 
 
 def test_elimination_of_the_mirror_lookahead():
@@ -403,9 +404,11 @@ def test_alternating_copier_runs_standalone():
     assert run_output_sst_sf(s, UPWord("", "a"), 12) == "a" * 12
 
 
-def test_start_values_are_written_by_a_fresh_initial_state():
-    """The head bounces off the end marker, writing x into X_m's start value
-    before it reads anything; the eliminated machine writes x itself."""
+def test_end_marker_output_is_written_by_the_first_row():
+    """The head bounces off the end marker, writing x, before it reads
+    anything.  The row leaving the initial state writes that x as a literal
+    where it read the marker's crossing, and the elimination needs no
+    state of its own for it."""
     delta = {
         ("s", None, "a", None): ("m", "", LEFT),
         ("m", None, MARK, None): ("c", "x", RIGHT),
@@ -413,18 +416,20 @@ def test_start_values_are_written_by_a_fresh_initial_state():
     }
     t = TwoWst("scm", "a", "s", delta, [{"c"}])
     s = twowst_to_sst_sf(t)
-    assert s.start_values["X_m"] == "x"
+    assert s.update[(s.initial, None, "a", None)]["O"] == parse_rhs("Oxa", ("O",))
+    elim = eliminate_lookaround(s)
+    assert len(elim.states) == 3
     w = UPWord("", "a")
     assert run_2wst(t, w, 6) == run_output_sst_sf(s, w, 6) == "xaaaaa"
-    assert run_output(eliminate_lookaround(s), w, 6) == "xaaaaa"
+    assert run_output(elim, w, 6) == "xaaaaa"
 
 
 def test_vacuous_guards_eliminate_to_singleton_states():
     wrap = wrapped_sst(mirror_sst())
     useful = useful_configs(wrap)
     assert sorted((c.state, c.behind, sorted(c.claims)) for c in useful) == [
-        (1, ("v",), []),
-        (2, ("v",), []),
+        (1, "v", []),
+        (2, "v", []),
     ]
     elim = eliminate_lookaround(wrap)
     assert len(elim.states) == 2
@@ -511,9 +516,11 @@ def test_conversion_runs_like_the_two_way_machine_on_random_draws():
     """3,000 random two-way machines (seed 11, 1,500 each with up to 3 and
     up to 4 states), 6 words each at k = 10: the guarded machine gives
     run_2wst's output or rejection on every word.  Only conversions past
-    the default state cap are skipped.  Every eleventh converted machine is
-    also eliminated, and the elimination is 1-bounded and runs like the
-    source, or has an empty domain where the source rejects every word."""
+    the default state cap are skipped.  No row of a converted machine
+    enters its initial state, so the rows that leave it can write the end
+    marker's output.  Every eleventh converted machine is also eliminated,
+    and the elimination is 1-bounded and runs like the source, or has an
+    empty domain where the source rejects every word."""
     rng = random.Random(11)
     skipped = eliminated = 0
     for i in range(3000):
@@ -524,6 +531,7 @@ def test_conversion_runs_like_the_two_way_machine_on_random_draws():
         except CapExceeded:
             skipped += 1
             continue
+        assert s.initial not in s.delta.values(), i
         expect = [_output_or_none(run_2wst, t, w, 10) for w in words]
         assert [_output_or_none(run_output_sst_sf, s, w, 10) for w in words] == expect, i
         if i % 11:
@@ -538,6 +546,58 @@ def test_conversion_runs_like_the_two_way_machine_on_random_draws():
         assert is_1_bounded(elim) == (True, None), i
         assert [_output_or_none(run_output, elim, w, 10) for w in words] == expect, i
     assert (skipped, eliminated) == (3, 134)
+
+
+def random_lookbehind_twowst(rng, max_states=3):
+    """random_twowst with a random two-state lookbehind DFA over ab.  Each
+    letter row is split, with probability 2/5, into a row for lookbehind
+    state u and a freshly drawn one for v, so the guards of a state and
+    letter are exclusive.  End-marker rows stay unguarded."""
+    base = random_twowst(rng, max_states)
+    behind = Dfa("uv", "ab", "u", {(r, a): rng.choice("uv") for r in "uv" for a in "ab"})
+    n = len(base.states)
+    delta = {}
+    for (q, _r, a, _p), row in base.delta.items():
+        if a == MARK or rng.random() >= 0.4:
+            delta[(q, None, a, None)] = row
+            continue
+        delta[(q, "u", a, None)] = row
+        delta[(q, "v", a, None)] = (rng.randrange(n), rng.choice(("", "a", "b")),
+                                    rng.choice((RIGHT, RIGHT, RIGHT, STAY, LEFT)))
+    return TwoWst(base.states, "ab", 0, delta, base.muller_sets, lookbehind=behind)
+
+
+def test_lookbehind_sources_convert_exactly_and_eliminate_soundly():
+    """On random look-behind sources (seed 5, 400 draws, 6 words, k = 10)
+    the guarded machine runs like the two-way one, rejections included.
+    An elimination with an empty domain comes from a source that rejects
+    every word drawn.  Any other elimination never accepts a word the
+    guarded machine rejects, and where it accepts it prints the same
+    letters.  Completeness is not asserted: of the 363 runs the guarded
+    machine accepts on the 165 eliminated draws, the elimination still
+    rejects 41."""
+    rng = random.Random(5)
+    runs = 0
+    for i in range(400):
+        t = random_lookbehind_twowst(rng)
+        words = [random_upword(rng, "ab", 3, 3) for _ in range(6)]
+        try:
+            s = twowst_to_sst_sf(t)
+        except CapExceeded:
+            continue
+        expect = [_output_or_none(run_2wst, t, w, 10) for w in words]
+        assert [_output_or_none(run_output_sst_sf, s, w, 10) for w in words] == expect, i
+        try:
+            elim = eliminate_lookaround(s)
+        except ValueError as exc:
+            assert "empty domain" in str(exc)
+            assert expect == [None] * len(words), i
+            continue
+        for w, out in zip(words, expect):
+            got = _output_or_none(run_output, elim, w, 10)
+            assert got is None or got == out, (i, w)
+            runs += got is not None
+    assert runs >= 322
 
 
 # y and z swap a and b on every loop, and x takes y's letter

@@ -31,7 +31,7 @@ MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
 
 _FIELDS = (
     "states", "alphabet", "initial", "delta", "muller_sets", "variables",
-    "update", "F", "start_values", "copies", "domain", "labels",
+    "update", "F", "copies", "domain", "labels",
     "order",
 )
 
@@ -109,6 +109,26 @@ def test_parse_errors_carry_line_numbers():
         )
 
 
+def test_a_missing_directive_is_reported_at_its_kind_line():
+    """The main block's kind line is line 2, after a comment; the lookahead
+    section's is line 19 of f1.2wst."""
+    with pytest.raises(FormatError, match="line 2: missing 'initial' line"):
+        parse_machine_text("# one state\nkind: dma\nstates: q\nalphabet: a\n"
+                           "delta: q,a -> q\nmuller: {q}\n")
+    lines = (MACHINES / "f1.2wst").read_text().splitlines()
+    assert lines[18] == "kind: dma" and lines[19].startswith("states:")
+    del lines[19]
+    with pytest.raises(FormatError, match="line 19: missing 'states' line"):
+        parse_machine_text("\n".join(lines) + "\n")
+
+
+def test_a_guarded_machine_takes_no_start_line():
+    """Every streaming machine starts with its variables empty."""
+    with pytest.raises(FormatError,
+                       match="line 9: unknown directive 'start' for kind 'sst-sf'"):
+        parse_machine_text(_ONE_STATE_SST_SF + "start: X := bb\n")
+
+
 @pytest.mark.parametrize("line", [
     "pos: x,a: La(x)",
     "pos: 1,a: La(x)\nord: 1,x: x < y",
@@ -136,7 +156,7 @@ def test_directives_of_another_kind_are_refused_with_a_line(line, key):
 def test_every_shipped_and_golden_file_parses():
     paths = sorted(p for p in MACHINES.iterdir() if p.name != "corpus.txt")
     paths += sorted(GOLDEN.iterdir())
-    assert len(paths) == 11
+    assert len(paths) == 12
     for path in paths:
         parse_machine(path)
 
@@ -186,7 +206,7 @@ def test_ambiguous_right_hand_side_is_refused():
 
 def test_every_shipped_machine_prints_back_unchanged():
     paths = sorted(p for p in MACHINES.iterdir() if p.name != "corpus.txt")
-    assert [p.suffix for p in paths] == [".2wst", ".fot", ".sst", ".dma", ".sst"]
+    assert [p.suffix for p in paths] == [".2wst", ".fot", ".sst", ".2wst", ".dma", ".sst"]
     for path in paths:
         text = path.read_text()
         assert print_machine(parse_machine_text(text)) == text, path.name
