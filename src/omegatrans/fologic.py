@@ -41,6 +41,16 @@ evaluator on a 0-d grid.  Positions are integers starting at 1; both
 raise TypeError for positions of any other dtype (floats, bools and
 strings are not read as positions) and ValueError for a position below 1.
 
+The first evaluation of a formula compiles it into a plan (``plan``),
+built once per formula object and reused by every later call: its free
+variables and depth, and one closure per node chosen when the plan is
+built.  Equal quantified subformulas are evaluated once per quantifier
+scope, and on a 0-d grid ``&``, ``|`` and ``->`` skip a right operand
+that the left one decides.  The plan is stored on the formula, so it
+lives as long as the formula and no longer, and copies of a machine share
+it; formulas stay values that compare, hash, copy and pickle by their
+class and fields.
+
 The grid evaluator lives in the private module ``_fogrid``, the only
 part of the formula code that uses numpy, and the first evaluation imports
 it.  Formulas, their syntax and their measures (``parse_formula``,
@@ -49,74 +59,77 @@ it.  Formulas, their syntax and their measures (``parse_formula``,
 not load it either.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 
-class Eq(NamedTuple):
-    x: str
-    y: str
+class _Formula:
+    """Equality, hashing, copying and pickling shared by every formula class.
+
+    Plain tuple equality would make Eq("x", "y") == Leq("x", "y") and
+    And(f, g) == Or(f, g); formulas compare and hash by their class as well.
+    A formula is immutable but carries its plan once evaluated, so a copy
+    is the formula itself and pickling keeps only the class and fields.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((type(self), tuple(self)))
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
-class Leq(NamedTuple):
-    x: str
-    y: str
+class Eq(_Formula, namedtuple("Eq", "x y")):
+    pass
 
 
-class Less(NamedTuple):
-    x: str
-    y: str
+class Leq(_Formula, namedtuple("Leq", "x y")):
+    pass
 
 
-class Label(NamedTuple):
-    letter: str
-    x: str
+class Less(_Formula, namedtuple("Less", "x y")):
+    pass
 
 
-class Not(NamedTuple):
-    body: object
+class Label(_Formula, namedtuple("Label", "letter x")):
+    pass
 
 
-class And(NamedTuple):
-    left: object
-    right: object
+class Not(_Formula, namedtuple("Not", "body")):
+    pass
 
 
-class Or(NamedTuple):
-    left: object
-    right: object
+class And(_Formula, namedtuple("And", "left right")):
+    pass
 
 
-class Implies(NamedTuple):
-    left: object
-    right: object
+class Or(_Formula, namedtuple("Or", "left right")):
+    pass
 
 
-class Exists(NamedTuple):
-    var: str
-    body: object
+class Implies(_Formula, namedtuple("Implies", "left right")):
+    pass
 
 
-class Forall(NamedTuple):
-    var: str
-    body: object
+class Exists(_Formula, namedtuple("Exists", "var body")):
+    pass
 
 
-# Plain tuple equality would make Eq("x", "y") == Leq("x", "y") and
-# And(f, g) == Or(f, g); formulas compare and hash by their class as well.
-def _formula_eq(f, g):
-    return type(f) is type(g) and tuple.__eq__(f, g)
-
-
-def _formula_ne(f, g):
-    return not _formula_eq(f, g)
-
-
-def _formula_hash(f):
-    return hash((type(f), tuple(f)))
-
-
-for _cls in (Eq, Leq, Less, Label, Not, And, Or, Implies, Exists, Forall):
-    _cls.__eq__, _cls.__ne__, _cls.__hash__ = _formula_eq, _formula_ne, _formula_hash
+class Forall(_Formula, namedtuple("Forall", "var body")):
+    pass
 
 
 def quantifier_depth(f):
@@ -151,25 +164,37 @@ def witness_margin(f, word):
     A quantifier of f under positions at most top needs to range only over
     1..top + witness_margin(f, word); the module docstring proves it.
     """
-    return len(word.prefix) + (2 ** quantifier_depth(f) + 1) * len(word.period)
+    return margin_at_depth(quantifier_depth(f), word)
 
 
-_grid_evaluate = None
+def margin_at_depth(depth, word):
+    """``witness_margin`` of a formula of the given quantifier depth."""
+    return len(word.prefix) + (2 ** depth + 1) * len(word.period)
+
+
+def plan(f):
+    """The evaluation plan of f: its free variables, its depth and its grid.
+
+    The first call builds a ``_fogrid.Plan``, which loads numpy, and stores
+    it on f; later calls return it.
+    """
+    try:
+        return f._plan
+    except AttributeError:
+        from ._fogrid import Plan
+
+        f._plan = built = Plan(f)
+        return built
 
 
 # evaluate and bulk_evaluate share this body instead of one calling the
 # other, so that a trace of bulk_evaluate sees only the grid evaluations.
 def _evaluate(f, word, env):
-    global _grid_evaluate
-    missing = free_variables(f) - set(env)
+    p = plan(f)
+    missing = p.free - set(env)
     if missing:
         raise ValueError("unassigned free variables: %s" % sorted(missing))
-    if _grid_evaluate is None:
-        # The first evaluation loads the grid evaluator, and numpy with it.
-        # Later calls skip the import statement, which costs about a third
-        # of evaluating an atomic formula.
-        from ._fogrid import grid_evaluate as _grid_evaluate
-    return _grid_evaluate(f, word, env, witness_margin(f, word))
+    return p.evaluate(word, env)
 
 
 def bulk_evaluate(f, word, env):

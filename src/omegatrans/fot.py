@@ -72,11 +72,12 @@ graph; the output is finite and padded with ``sst.PAD``.  Otherwise:
    period of step 3 shows, the output is not string-shaped.
 
 Only running touches numpy: ``_label_rows`` and ``_output_lasso`` import
-it, and the formulas are evaluated by ``fologic``'s grid evaluator.
-Building, parsing and printing a machine do not load it.
+it, and the formulas are evaluated by ``fologic``'s grid evaluator through
+their plans, which also give ``_output_lasso`` the depths.  Building,
+parsing and printing a machine do not load it.
 """
 
-from .fologic import bulk_evaluate, evaluate, free_variables, quantifier_depth
+from .fologic import bulk_evaluate, evaluate, free_variables, plan
 from .sst import PAD, NotInDomain, check_length
 
 
@@ -183,7 +184,7 @@ def _output_lasso(t, word):
 
     p, q = len(word.prefix), len(word.period)
     formulas = list(t.labels.values()) + list(t.order.values())
-    c = 2 ** max(quantifier_depth(f) for f in formulas) + 1
+    c = 2 ** max(plan(f).depth for f in formulas) + 1
     G = p + c * q
     rows = _label_rows(t, word, G + q)
     m = sum(int((rows[a][G:] != "").sum()) for a in t.copies)

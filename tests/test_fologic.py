@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -117,6 +119,27 @@ def test_positions_below_one_are_refused():
         fo.bulk_evaluate(order, w, {"x": np.arange(1, 4)[:, None],
                                     "y": np.arange(0, 3)[None, :]})
     assert fo.bulk_evaluate(label, w, {"x": np.array([], dtype=np.int64)}).shape == (0,)
+
+
+def test_empty_position_arrays_give_empty_results():
+    w = UPWord("ab#", "a")
+    empty = np.array([], dtype=np.int64)
+    for text in ("La(x)", "E y. (x < y & L#(y))"):
+        f = fo.parse_formula(text)
+        out = fo.bulk_evaluate(f, w, {"x": empty})
+        assert out.shape == (0,) and out.dtype == bool, text
+    grid = {"x": empty[:, None], "y": np.arange(1, 4)[None, :]}
+    out = fo.bulk_evaluate(fo.parse_formula("E z. (x < z & z < y)"), w, grid)
+    assert out.shape == (0, 3) and out.dtype == bool
+
+
+def test_results_have_the_broadcast_shape_of_the_assignment():
+    w = UPWord("ab", "#a")
+    xs, ys = np.arange(1, 4)[:, None], np.arange(1, 6)[None, :]
+    for text in ("La(x)", "E z. Lb(z)", "(E z. L#(z)) | x < y", "A z. (z < z)"):
+        out = fo.bulk_evaluate(fo.parse_formula(text), w, {"x": xs, "y": ys})
+        assert out.shape == (3, 5) and out.dtype == bool, text
+    assert fo.bulk_evaluate(fo.parse_formula("E z. Lb(z)"), w, {}).shape == ()
 
 
 def test_non_integer_positions_are_refused():
@@ -241,6 +264,57 @@ def test_bounded_eval_matches_naive(f, prefix, period, px, py, pz):
     w = UPWord(prefix, period)
     env = {"x": px, "y": py, "z": pz}
     assert fo.evaluate(f, w, env) == ref_eval(f, w, env)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    formulas(2),
+    st.text(alphabet="ab#", max_size=2),
+    st.text(alphabet="ab#", min_size=1, max_size=2),
+    st.integers(min_value=1, max_value=5),
+)
+def test_bulk_evaluation_matches_scalar_evaluation(f, prefix, period, pz):
+    # The 0-d short circuits and the letter lookup of single positions
+    # against the array path, cell by cell.
+    w = UPWord(prefix, period)
+    grid = np.arange(1, 6)
+    bulk = fo.bulk_evaluate(f, w, {"x": grid[:, None], "y": grid[None, :], "z": pz})
+    assert bulk.shape == (5, 5)
+    for x in range(1, 6):
+        for y in range(1, 6):
+            env = {"x": x, "y": y, "z": pz}
+            assert bulk[x - 1, y - 1] == fo.evaluate(f, w, env), (x, y)
+
+
+def test_shared_subformulas_respect_their_scope():
+    # One quantified subformula under two binders, with y bound in the first
+    # conjunct and free in the second: sharing it across scopes would be wrong.
+    inner = fo.parse_formula("E z. (y < z & Lb(z))")
+    f = fo.And(fo.Exists("y", inner), fo.Exists("x", inner))
+    g = fo.Or(fo.Not(fo.Forall("y", fo.Implies(fo.Label("a", "y"), inner))), inner)
+    words = [UPWord("ab", "a"), UPWord("bbb", "a"), UPWord("", "ab"), UPWord("b#", "#")]
+    for w in words:
+        for formula in (f, g):
+            for y in range(1, 7):
+                env = {"x": 1, "y": y}
+                want = ref_eval(formula, w, env)
+                assert fo.evaluate(formula, w, env) == want, (w, formula, y)
+                bulk = fo.bulk_evaluate(formula, w, {"x": 1, "y": np.array([y, y])})
+                assert bulk.tolist() == [want, want], (w, formula, y)
+
+
+def test_formulas_stay_values_after_evaluation():
+    w = UPWord("ab", "#a")
+    for text in ("E y. (x < y & L#(y))", "(E z. Lb(z)) | !(E z. Lb(z))", "La(x)"):
+        f = fo.parse_formula(text)
+        before = fo.evaluate(f, w, {"x": 2})
+        clone = copy.deepcopy(f)
+        assert clone == f and hash(clone) == hash(f)
+        thawed = pickle.loads(pickle.dumps(f))
+        assert thawed == f and hash(thawed) == hash(f)
+        assert fo.evaluate(thawed, w, {"x": 2}) == before
+        assert fo.format_formula(thawed) == fo.format_formula(f)
+    assert fo.Eq("x", "y") != fo.Leq("x", "y")
 
 
 def test_closed_form_families_on_random_words():
