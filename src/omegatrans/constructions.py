@@ -1,20 +1,21 @@
 """Compiling two-way transducers down to one-way streaming ones.
 
-The pipeline has two stages.  twowst_to_sst_sf turns a two-way transducer
-into a guarded streaming transducer (SstSf): a single left-to-right pass
-whose transitions still consult the look-behind and look-ahead automata of
-the source.  Its states record, per cell, where the head crosses into the
-next cell from each state a left move can enter, and which two-way states
-it visits on the way; rows whose crossings share an excursion copy its
-variable, but a run realizes at most one of the copies, so the result is
-1-bounded, not copyless.  Its variables start empty, as on every streaming
-machine here: the end marker's output is written by the rows that leave
-the initial state.  eliminate_lookaround then removes the guards by a
-subset construction over configurations that track, besides the state,
-the look-behind state of the run and the set of pending look-ahead claims.
-The result is a plain Sst that sst.run_output runs without its source.
-compare_outputs is the harness that checks any two model implementations
-against each other on a corpus of words.
+The pipeline has two stages, and each resolves one kind of guard.
+twowst_to_sst_sf turns a two-way transducer into a guarded streaming
+transducer (SstSf): a single left-to-right pass that carries the source's
+look-behind state in its own states, so its transitions consult only the
+look-ahead automaton.  Its states record, per cell, where the head crosses
+into the next cell from each state a left move can enter, and which two-way
+states it visits on the way; rows whose crossings share an excursion copy
+its variable, but a run realizes at most one of the copies, so the result
+is 1-bounded, not copyless.  Its variables start empty, as on every
+streaming machine here: the end marker's output is written by the rows
+that leave the initial state.  eliminate_lookaround then removes the
+look-ahead guards by a subset construction over configurations that track,
+besides the state, the set of pending look-ahead claims.  The result is a
+plain Sst that sst.run_output runs without its source.  compare_outputs is
+the harness that checks any two model implementations against each other
+on a corpus of words.
 
 Guards mean the same thing here as on the two-way machine: a look-behind
 guard names the state the automaton reaches on the strict prefix before the
@@ -34,10 +35,12 @@ from .words import UPWord, first_divergence, lasso
 
 
 class SstSf:
-    """Streaming transducer whose transitions carry look-around guards.
+    """Streaming transducer whose transitions carry look-ahead guards.
 
-    delta and update key on (state, behind, letter, ahead); behind is a
-    lookbehind state or None for "any", ahead a lookahead state or None.
+    delta and update key on (state, None, letter, ahead), with ahead a
+    lookahead state or None for "any".  The second field is the look-behind
+    guard of the two-way keys, always None here: a one-way machine keeps
+    its look-behind state in its own states, so it has no lookbehind.
     delta may be partial: a position where no row fires rejects the word,
     one where several fire is an error caught at run time.  The variables,
     updates and output rules F are checked by sst.streaming_fields, as on a
@@ -46,13 +49,14 @@ class SstSf:
     variable starts empty, as on a plain Sst.
     """
 
+    lookbehind = None
+
     def __init__(self, states, alphabet, initial, delta, variables, update,
-                 F, lookahead=None, lookbehind=None):
+                 F, lookahead=None):
         self.states = tuple(states)
         self.alphabet = tuple(alphabet)
         self.initial = initial
         self.lookahead = lookahead
-        self.lookbehind = lookbehind
         self.delta = dict(delta)
         self._by_qa = guarded_rows(self, self.alphabet, lambda key: key)
         for key, q2 in self.delta.items():
@@ -63,25 +67,21 @@ class SstSf:
         )
 
 
-Configuration = namedtuple("Configuration", ["state", "behind", "claims"])
+Configuration = namedtuple("Configuration", ["state", "claims"])
 Configuration.__doc__ = """One step of the guard-tracking product.
 
-state is the machine state, behind the state the lookbehind automaton
-reaches from its initial state on the prefix so far (None without one),
-claims the set of lookahead states whose acceptance the run has promised
-and pushed forward."""
+state is the machine state, claims the set of lookahead states whose
+acceptance the run has promised and pushed forward."""
 
 
 def _advance(s, cfg, key):
     """The configuration after the row key fires in configuration cfg."""
     _, _, a, p = key
-    b = s.lookbehind
     a_aut = s.lookahead
-    behind = b.step(cfg.behind, a) if b else None
     claims = frozenset(a_aut.step(x, a) for x in cfg.claims) if a_aut else frozenset()
     if p is not None:
         claims = claims | {p}
-    return Configuration(s.delta[key], behind, claims)
+    return Configuration(s.delta[key], claims)
 
 
 def _fire(s, ctx, q, col):
@@ -191,14 +191,17 @@ def _is_loop(P, succ):
 def twowst_to_sst_sf(t, cap=12):
     """One-pass guarded transducer equivalent to the two-way machine.
 
-    A state (q, f, V) after a prefix says: the head first enters the next
-    cell in state q; for each state s in which a left move can enter the
-    last cell read, f[s] is the state in which the head, started there in
-    s, first enters the next cell, with the states it visits on the way,
+    A state (q, f, V, r) after a prefix says: the head first enters the
+    next cell in state q; for each state s in which a left move can enter
+    the last cell read, f[s] is the state in which the head, started there
+    in s, first enters the next cell, with the states it visits on the way,
     and X_s holds the output on the way (only such states s have a
     variable, since no other state holds a crossing); V is the set of states
     the run visited between its first entries into the last cell and the
-    next.
+    next; r is the state the lookbehind automaton reaches on the prefix
+    (None without one).  Every look-behind guard of the next cell asks for
+    r, so the guarded machine resolves them itself and keeps only the
+    look-ahead guards.
     Reading a cell, _crossings works out the new f from the old one, O
     takes the crossing of q and every other X_s the crossing of s.  X_q is
     emptied: a crossing that re-enters the cell in q repeats the run from
@@ -206,9 +209,9 @@ def twowst_to_sst_sf(t, cap=12):
     entered it in, and a crossing through X_q either loops or follows the
     run and never reaches O.
 
-    The initial state (q0, f0, ∅) holds the crossings of the end marker in
-    f0, and its rows write the marker's output as literals where they read
-    an X_s, so every variable starts empty.  No row enters the initial
+    The initial state (q0, f0, ∅, r0) holds the crossings of the end
+    marker in f0, and its rows write the marker's output as literals where
+    they read an X_s, so every variable starts empty.  No row enters the initial
     state, since every other V holds at least the state its crossing
     started in.
 
@@ -230,10 +233,10 @@ def twowst_to_sst_sf(t, cap=12):
     state twice and loop.  So a run realizes at most one copy per cut, and
     the rows are copyful but 1-bounded.
 
-    Transitions enumerate position contexts: a concrete lookbehind state
-    when any row of the letter consults one, a concrete lookahead guard
-    likewise.  Raises CapExceeded past cap states, and ValueError for an
-    end-marker row with guards.
+    A state has one row per lookahead guard of the letter's rows (one
+    unguarded row if they have none), keyed (state, None, letter, guard).
+    Raises CapExceeded past cap states, and ValueError for an end-marker
+    row with guards.
     """
     for (q, r, a, p) in t.delta:
         if a == MARK and (r, p) != (None, None):
@@ -244,17 +247,12 @@ def twowst_to_sst_sf(t, cap=12):
     marker = _crossings(t, {}, None, MARK, None)
     f0 = _crossing_map(marker, left)
     marker_output = {("var", "X_%s" % s): marker[s][1] for s, _ in f0 if marker[s][1]}
-    init = (t.initial, f0, frozenset())
+    behind = t.lookbehind
+    init = (t.initial, f0, frozenset(), behind.initial if behind else None)
     cells = []
     for a in t.alphabet:
-        rows = [key for key in t.delta if key[2] == a]
-        behinds = sorted({key[1] for key in rows if key[1] is not None}, key=str)
-        aheads = sorted({key[3] for key in rows if key[3] is not None}, key=str)
-        b_dom = tuple(t.lookbehind.states) if behinds else (None,)
-        a_dom = tuple(aheads) if aheads else (None,)
-        for b in b_dom:
-            for alpha in a_dom:
-                cells.append((b, a, alpha))
+        aheads = {key[3] for key in t.delta if key[2] == a} - {None}
+        cells.extend((a, alpha) for alpha in sorted(aheads, key=str) or (None,))
 
     states = [init]
     index = {init: 0}
@@ -263,13 +261,13 @@ def twowst_to_sst_sf(t, cap=12):
     update = {}
     while queue:
         st = queue.popleft()
-        q, f, _ = st
-        for b, a, alpha in cells:
-            cross = _crossings(t, dict(f), b, a, alpha)
+        q, f, _, r = st
+        for a, alpha in cells:
+            cross = _crossings(t, dict(f), r, a, alpha)
             if q not in cross:
                 continue
             f2 = _crossing_map(cross, left)
-            dest = (cross[q][0], f2, cross[q][2])
+            dest = (cross[q][0], f2, cross[q][2], behind.step(r, a) if behind else None)
             if dest not in index:
                 if len(states) >= cap:
                     raise CapExceeded(
@@ -278,7 +276,7 @@ def twowst_to_sst_sf(t, cap=12):
                 index[dest] = len(states)
                 states.append(dest)
                 queue.append(dest)
-            key = (st, b, a, alpha)
+            key = (st, None, a, alpha)
             delta[key] = dest
             subst = {x: () for x in variables}
             subst["O"] = (("var", "O"),) + cross[q][1]
@@ -300,17 +298,8 @@ def twowst_to_sst_sf(t, cap=12):
             P = frozenset(st for i, st in enumerate(comp) if n >> i & 1)
             if frozenset().union(*(st[2] for st in P)) in accepting and _is_loop(P, succ):
                 output[P] = ("O",)
-    return SstSf(
-        states,
-        t.alphabet,
-        init,
-        delta,
-        variables,
-        update,
-        output,
-        lookahead=t.lookahead,
-        lookbehind=t.lookbehind,
-    )
+    return SstSf(states, t.alphabet, init, delta, variables, update, output,
+                 lookahead=t.lookahead)
 
 
 # ---------------------------------------------------------------------------
@@ -318,45 +307,31 @@ def twowst_to_sst_sf(t, cap=12):
 
 
 def _order_key(s):
-    """Total order on configurations: state index, then lookbehind state, then
-    sorted claim indices."""
+    """Total order on configurations: state index, then sorted claim indices."""
     state_order = {q: i for i, q in enumerate(s.states)}
-    b_order = (
-        {r: i for i, r in enumerate(s.lookbehind.states)} if s.lookbehind else {None: 0}
-    )
     a_order = (
         {p: i for i, p in enumerate(s.lookahead.states)} if s.lookahead else {}
     )
 
     def key(cfg):
-        return (
-            state_order[cfg.state],
-            b_order[cfg.behind],
-            tuple(sorted(a_order[p] for p in cfg.claims)),
-        )
+        return state_order[cfg.state], tuple(sorted(a_order[p] for p in cfg.claims))
 
     return key
 
 
 def _config_graph(s, cap):
     """Reachable configurations and their letter/row edges."""
-    b = s.lookbehind
-    start = Configuration(s.initial, b.initial if b else None, frozenset())
+    start = Configuration(s.initial, frozenset())
     rows_by_state = {}
     for key in s.delta:
         rows_by_state.setdefault(key[0], []).append(key)
     for q in rows_by_state:
-        rows_by_state[q].sort(
-            key=lambda key: (s.alphabet.index(key[2]), str(key[1]), str(key[3]))
-        )
+        rows_by_state[q].sort(key=lambda key: (s.alphabet.index(key[2]), str(key[3])))
     adj = {start: []}
     queue = deque([start])
     while queue:
         cfg = queue.popleft()
         for key in rows_by_state.get(cfg.state, ()):
-            r = key[1]
-            if r is not None and r != cfg.behind:
-                continue
             cfg2 = _advance(s, cfg, key)
             if cfg2 not in adj:
                 if len(adj) >= cap:

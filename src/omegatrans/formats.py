@@ -7,14 +7,17 @@ with "#" are skipped.  The kinds:
     dfa     like dma without the muller line (used embedded, for lookbehind)
     sst     adds vars:, update: q,a: X := aXb; Y := YX, output: {q} -> x z
     sst-sf  the sst format with guarded keys q, r, a, p in its delta: and
-            update: lines, "_" for an absent guard
+            update: lines, "_" for an absent guard (r is always "_")
     2wst    trans: q, r, a, p -> q', "out", +1|0|-1 with the same guarded keys
     fot     alphabet:/copies:/dom:/pos: c,g: formula/ord: c,d: formula
 
-2wst and sst-sf files may end with `lookbehind:` / `lookahead:` sections,
-each holding an embedded dfa / dma block.  One table, KINDS, pairs each kind
-name with its class, parser, printer and directives; a directive the kind
-does not list is refused with its line number.  Transition tables are exact: a
+2wst files may end with `lookbehind:` / `lookahead:` sections, each holding
+an embedded dfa / dma block; sst-sf files only with a `lookahead:` one,
+since the conversion resolves look-behind into the states of the guarded
+machine.  A section the kind does not take is refused at its line.  One
+table, KINDS, pairs each kind name with its class, parser, printer,
+sections and directives; a directive the kind does not list is refused
+with its line number.  Transition tables are exact: a
 key outside states x alphabet (or, for guarded kinds, outside the machine's
 states, letters and guard states) or an update for a transition that does
 not exist is refused.  Identity update entries are left out when printing
@@ -50,8 +53,9 @@ def _fail(lineno, message):
 
 
 def _split_sections(text):
-    """(main, {section: lines}) with lines as (lineno, key, rest) triples."""
-    buckets = {"main": []}
+    """(main, {section: (lineno, lines)}), with lines as (lineno, key, rest)
+    triples and a section's lineno that of its header line."""
+    buckets = {"main": (0, [])}
     current = "main"
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -61,15 +65,14 @@ def _split_sections(text):
             name = line[:-1]
             if name in buckets:
                 _fail(lineno, "duplicate %s section" % name)
-            buckets[name] = []
+            buckets[name] = (lineno, [])
             current = name
             continue
         if ":" not in line:
             _fail(lineno, "expected 'key: value', got %r" % line)
         key, rest = line.split(":", 1)
-        buckets[current].append((lineno, key.strip(), rest.strip()))
-    main = buckets.pop("main")
-    return main, buckets
+        buckets[current][1].append((lineno, key.strip(), rest.strip()))
+    return buckets.pop("main")[1], buckets
 
 
 def _block(lines):
@@ -233,7 +236,7 @@ def _parse_streaming(kind, fields, sections):
     states, initial, alphabet = _parse_header(fields)
     _, vars_text = _one(fields, "vars")
     variables = tuple(vars_text.split())
-    read_key = _guarded_key if kind.guarded else _pair_key
+    read_key = _guarded_key if kind.sections else _pair_key
     delta = _parse_table(fields, "delta", read_key, _token)
     update = {}
     for lineno, rest in fields.get("update", []):
@@ -245,11 +248,10 @@ def _parse_streaming(kind, fields, sections):
             _fail(lineno, "duplicate update for %r" % (key,))
         update[key] = _parse_assignments(body, variables, lineno)
     rules = _parse_output(fields, variables)
-    if not kind.guarded:
+    if not kind.sections:
         return Sst(states, alphabet, initial, delta, variables, update, rules)
     return SstSf(states, alphabet, initial, delta, variables, update, rules,
-                 lookahead=sections.get("lookahead"),
-                 lookbehind=sections.get("lookbehind"))
+                 lookahead=sections.get("lookahead"))
 
 
 _MOVES = {"+1": RIGHT, "1": RIGHT, "0": STAY, "-1": LEFT}
@@ -314,11 +316,13 @@ def parse_machine_text(text):
     """Text in the format family -> validated machine of the header's kind."""
     main, section_lines = _split_sections(text)
     kind, fields = _block(main)
-    if section_lines and not kind.guarded:
-        _fail(main[0][0], "kind %r takes no look-around sections" % kind.name)
+    for section, (lineno, _lines) in section_lines.items():
+        if section not in kind.sections:
+            _fail(lineno, "kind %r takes no look-around section %r"
+                  % (kind.name, section))
     try:
         sections = {}
-        for section, lines in section_lines.items():
+        for section, (_lineno, lines) in section_lines.items():
             sub_kind, sub = _block(lines)
             want = "dma" if section == "lookahead" else "dfa"
             if sub_kind.name != want:
@@ -399,8 +403,7 @@ def printable_machine(m):
         return Dma(states, m.alphabet, ren[m.initial], delta,
                    [frozenset(ren[q] for q in P) for P in m.muller_sets])
     var = _token_map(m.variables, "v")
-    guarded = {} if isinstance(m, Sst) else {"lookahead": m.lookahead,
-                                             "lookbehind": m.lookbehind}
+    guarded = {} if isinstance(m, Sst) else {"lookahead": m.lookahead}
     return type(m)(
         states, m.alphabet, ren[m.initial], delta, [var[x] for x in m.variables],
         {key(k): {var[x]: tuple((tag, var[v] if tag == "var" else v) for tag, v in rhs)
@@ -509,7 +512,7 @@ def _print_streaming(kind, m):
         lines.append(
             "output: %s -> %s" % (_fmt_set(P, order), " ".join(m.F[P]))
         )
-    if kind.guarded:
+    if kind.sections:
         lines.extend(_section_lines(m))
     return lines
 
@@ -560,26 +563,28 @@ def _print_fot(kind, m):
     return lines
 
 
-Kind = namedtuple("Kind", ["name", "cls", "parse", "print", "guarded", "single", "repeated"])
+Kind = namedtuple("Kind", ["name", "cls", "parse", "print", "sections", "single", "repeated"])
 Kind.__doc__ = """One machine kind of the text format.
 
 parse(kind, fields, sections) builds the machine from its collected lines
 and embedded look-around automata; print(kind, machine) gives its lines.
-guarded kinds key transitions on (state, behind, letter, ahead) and may
-end with look-around sections.  single lists the directives of one line
-each, repeated those that may take many; the kind takes no other."""
+sections lists the look-around sections the kind may end with; the kinds
+that take any are guarded, and key transitions on (state, behind, letter,
+ahead).  single lists the directives of one line each, repeated those
+that may take many; the kind takes no other."""
 
 _HEADER = ("states", "initial", "alphabet")
 KINDS = {kind.name: kind for kind in (
-    Kind("dma", Dma, _parse_automaton, _print_automaton, False,
+    Kind("dma", Dma, _parse_automaton, _print_automaton, (),
          _HEADER, ("delta", "muller")),
-    Kind("dfa", Dfa, _parse_automaton, _print_automaton, False, _HEADER, ("delta",)),
-    Kind("sst", Sst, _parse_streaming, _print_streaming, False,
+    Kind("dfa", Dfa, _parse_automaton, _print_automaton, (), _HEADER, ("delta",)),
+    Kind("sst", Sst, _parse_streaming, _print_streaming, (),
          _HEADER + ("vars",), ("delta", "update", "output")),
-    Kind("sst-sf", SstSf, _parse_streaming, _print_streaming, True,
+    Kind("sst-sf", SstSf, _parse_streaming, _print_streaming, ("lookahead",),
          _HEADER + ("vars",), ("delta", "update", "output")),
-    Kind("2wst", TwoWst, _parse_2wst, _print_2wst, True, _HEADER, ("trans", "muller")),
-    Kind("fot", Fot, _parse_fot, _print_fot, False,
+    Kind("2wst", TwoWst, _parse_2wst, _print_2wst, ("lookahead", "lookbehind"),
+         _HEADER, ("trans", "muller")),
+    Kind("fot", Fot, _parse_fot, _print_fot, (),
          ("alphabet", "copies", "dom"), ("pos", "ord")),
 )}
 _KIND_OF_CLASS = {kind.cls: kind for kind in KINDS.values()}

@@ -100,6 +100,27 @@ def test_end_marker_output_survives_the_file_round_trip(tmp_path, capsys):
         assert capsys.readouterr().out == "x" + "a" * 11 + "\n", machine.name
 
 
+def test_lookbehind_guards_survive_the_file_round_trip(tmp_path, capsys):
+    """behind.2wst prints a for an a read where its look-behind DFA is in
+    u, and b for every other letter; the DFA leaves u on the first letter
+    and comes back to it on an a after a.  Compiled, the guarded machine
+    carries the DFA's state in its own and has no look-behind guard, and
+    compiled and eliminated through files it runs like the source."""
+    guarded = tmp_path / "behind.sst-sf"
+    plain = tmp_path / "behind.sst"
+    assert main(["compile", "2wst-to-sst", str(MACHINES / "behind.2wst"),
+                 "-o", str(guarded)]) == 0
+    assert main(["eliminate-la", str(guarded), "-o", str(plain)]) == 0
+    capsys.readouterr()
+    assert "lookbehind:" not in guarded.read_text()
+    assert all(line.split(",")[1].strip() == "_"
+               for line in guarded.read_text().splitlines() if line.startswith("delta:"))
+    for word, out in [("(b)^w", "b" * 12), ("a(b)^w", "a" + "b" * 11), ("(a)^w", "ab" * 6)]:
+        for machine in (MACHINES / "behind.2wst", guarded, plain):
+            assert main(["run", "-k", "12", str(machine), word]) == 0
+            assert capsys.readouterr().out == out + "\n", (machine.name, word)
+
+
 def test_monoid_cap_exits_3(capsys):
     # monoid generates every element; check-aperiodic stops at the first
     # witness, so only a cap below the witness's element exits 3
@@ -306,7 +327,7 @@ def test_every_verb_on_every_shipped_machine_exits_with_a_code(tmp_path, capsys)
     word = "ab#(a)^w"
     assert word in CORPUS_WORDS
     machines = sorted(p for p in MACHINES.iterdir() if p.name != "corpus.txt")
-    assert len(machines) == 6
+    assert len(machines) == 7
     for path in machines:
         for argv in _verbs(str(path), word, tmp_path):
             rc = main(argv)

@@ -40,7 +40,8 @@ from omegatrans.sst import (
     sst_monoid,
 )
 from omegatrans.fot import run_fot
-from omegatrans.twowst import LEFT, MARK, RIGHT, STAY, Dfa, TwoWst, run_2wst
+from omegatrans.twowst import (LEFT, MARK, RIGHT, STAY, Dfa, TwoWst, is_aperiodic_2wst,
+                               run_2wst)
 from omegatrans.words import UPWord
 
 
@@ -62,19 +63,18 @@ def tie_break_machine():
 
 
 def wrapped_sst(base):
-    """A plain transducer dressed up with a one-state lookbehind.
+    """A plain transducer dressed up as a guarded one.
 
     The guards are vacuous, so the guarded machine computes what base does,
     and eliminating them should give back singleton subset states.
     """
-    behind = Dfa("v", base.alphabet, "v", {("v", al): "v" for al in base.alphabet})
     delta = {}
     update = {}
     for (q, al), q2 in base.delta.items():
-        delta[(q, "v", al, None)] = q2
-        update[(q, "v", al, None)] = base.update[(q, al)]
+        delta[(q, None, al, None)] = q2
+        update[(q, None, al, None)] = base.update[(q, al)]
     return SstSf(list(base.states), base.alphabet, base.initial, delta, base.variables,
-                 update, dict(base.F), lookbehind=behind)
+                 update, dict(base.F))
 
 
 def one_state_sst(rows):
@@ -117,13 +117,14 @@ def test_mirror_conversion_states():
     The third component is the set of states the last cell's crossing
     visits: {t} on a letter, all three on a separator, whose crossing
     walks back to the previous separator.  No row enters the initial
-    state, whose V alone is empty."""
+    state, whose V alone is empty.  The mirror has no look-behind, so the
+    fourth component is None."""
     s = twowst_to_sst_sf(mirror_twowst())
     from_marker = (("p", ("q", frozenset("p"))),)
     from_separator = (("p", ("q", frozenset("pq"))),)
-    assert s.initial == ("t", from_marker, frozenset())
-    assert s.states == (s.initial, ("t", from_separator, frozenset("t")),
-                        ("t", from_marker, frozenset("tpq")))
+    assert s.initial == ("t", from_marker, frozenset(), None)
+    assert s.states == (s.initial, ("t", from_separator, frozenset("t"), None),
+                        ("t", from_marker, frozenset("tpq"), None))
     assert s.variables == ("X_p", "O")
     assert s.initial not in s.delta.values()
     assert list(s.F.items()) == [(frozenset([s.states[1]]), ("O",))]
@@ -131,10 +132,10 @@ def test_mirror_conversion_states():
 
 def test_output_rules_only_for_sets_a_run_can_settle_in():
     """A one-way source over p and r: a keeps the state, b swaps it.  A
-    guarded state is (state, (), {previous state}), the four after the
-    first letter form one component, and 12 of its subsets have a Muller
-    union of V.  Only 5 are loops; {(p, {p}), (r, {r})}, for one, has no
-    transition between its states, and {(r, {p})} no loop."""
+    guarded state is (state, (), {previous state}, None), the four after
+    the first letter form one component, and 12 of its subsets have a
+    Muller union of V.  Only 5 are loops; {(p, {p}), (r, {r})}, for one,
+    has no transition between its states, and {(r, {p})} no loop."""
     delta = {
         ("p", None, "a", None): ("p", "a", RIGHT),
         ("p", None, "b", None): ("r", "b", RIGHT),
@@ -359,7 +360,6 @@ def test_useful_configurations_of_the_mirror():
     claims = sorted(sorted(c.claims) for c in useful)
     assert claims == [[], [], ["m"], ["m", "n"], ["m", "y"], ["n"], ["y"]]
     assert all(not {"y", "n"} <= set(c.claims) for c in useful)
-    assert all(c.behind is None for c in useful)
 
 
 def test_elimination_of_the_mirror_lookahead():
@@ -427,10 +427,7 @@ def test_end_marker_output_is_written_by_the_first_row():
 def test_vacuous_guards_eliminate_to_singleton_states():
     wrap = wrapped_sst(mirror_sst())
     useful = useful_configs(wrap)
-    assert sorted((c.state, c.behind, sorted(c.claims)) for c in useful) == [
-        (1, "v", []),
-        (2, "v", []),
-    ]
+    assert sorted((c.state, sorted(c.claims)) for c in useful) == [(1, []), (2, [])]
     elim = eliminate_lookaround(wrap)
     assert len(elim.states) == 2
     assert all(len(subset) == 1 for subset in elim.states)
@@ -567,24 +564,25 @@ def random_lookbehind_twowst(rng, max_states=3):
     return TwoWst(base.states, "ab", 0, delta, base.muller_sets, lookbehind=behind)
 
 
-def test_lookbehind_sources_convert_exactly_and_eliminate_soundly():
+def test_lookbehind_sources_convert_and_eliminate_exactly():
     """On random look-behind sources (seed 5, 400 draws, 6 words, k = 10)
-    the guarded machine runs like the two-way one, rejections included.
-    An elimination with an empty domain comes from a source that rejects
-    every word drawn.  Any other elimination never accepts a word the
-    guarded machine rejects, and where it accepts it prints the same
-    letters.  Completeness is not asserted: of the 363 runs the guarded
-    machine accepts on the 165 eliminated draws, the elimination still
-    rejects 41."""
+    the guarded machine and its elimination both run like the two-way
+    one, rejections included.  The conversion keeps the look-behind state
+    in its own states, so no row of the guarded machine has a look-behind
+    guard.  An elimination with an empty domain comes from a source that
+    rejects every word drawn.  2 conversions exceed the default state cap;
+    the 171 eliminated draws accept 380 runs."""
     rng = random.Random(5)
-    runs = 0
+    capped = eliminated = accepted = 0
     for i in range(400):
         t = random_lookbehind_twowst(rng)
         words = [random_upword(rng, "ab", 3, 3) for _ in range(6)]
         try:
             s = twowst_to_sst_sf(t)
         except CapExceeded:
+            capped += 1
             continue
+        assert s.lookbehind is None and all(key[1] is None for key in s.delta), i
         expect = [_output_or_none(run_2wst, t, w, 10) for w in words]
         assert [_output_or_none(run_output_sst_sf, s, w, 10) for w in words] == expect, i
         try:
@@ -593,11 +591,37 @@ def test_lookbehind_sources_convert_exactly_and_eliminate_soundly():
             assert "empty domain" in str(exc)
             assert expect == [None] * len(words), i
             continue
-        for w, out in zip(words, expect):
-            got = _output_or_none(run_output, elim, w, 10)
-            assert got is None or got == out, (i, w)
-            runs += got is not None
-    assert runs >= 322
+        eliminated += 1
+        accepted += sum(out is not None for out in expect)
+        assert [_output_or_none(run_output, elim, w, 10) for w in words] == expect, i
+    assert (capped, eliminated, accepted) == (2, 171, 380)
+
+
+@pytest.mark.parametrize("seed, draw, kept", [
+    (11, lambda rng: random_twowst(rng, max_states=4), 95),
+    (5, random_lookbehind_twowst, 73),
+], ids=["unguarded", "lookbehind"])
+def test_aperiodicity_survives_the_chain(seed, draw, kept):
+    """The paper's theorem: an aperiodic two-way machine compiles to an
+    aperiodic streaming one.  On 300 draws, every elimination of an
+    aperiodic source is aperiodic.  Conversions past the state cap and
+    eliminations with an empty domain are skipped; the count of aperiodic
+    sources left pins the draw."""
+    rng = random.Random(seed)
+    aperiodic = 0
+    for i in range(300):
+        t = draw(rng)
+        try:
+            elim = eliminate_lookaround(twowst_to_sst_sf(t))
+        except CapExceeded:
+            continue
+        except ValueError as exc:
+            assert "empty domain" in str(exc)
+            continue
+        if is_aperiodic_2wst(t)[0]:
+            aperiodic += 1
+            assert is_aperiodic_sst(elim)[0], i
+    assert aperiodic == kept
 
 
 # y and z swap a and b on every loop, and x takes y's letter

@@ -129,6 +129,19 @@ def test_a_guarded_machine_takes_no_start_line():
         parse_machine_text(_ONE_STATE_SST_SF + "start: X := bb\n")
 
 
+def test_a_guarded_machine_takes_no_lookbehind_section(tmp_path):
+    """The conversion keeps the look-behind state in the guarded machine's
+    own states, so an sst-sf file takes only a lookahead section."""
+    text = (_ONE_STATE_SST_SF + "lookbehind:\nkind: dfa\nstates: u\ninitial: u\n"
+            "alphabet: ab\ndelta: u,a -> u\ndelta: u,b -> u\n")
+    with pytest.raises(FormatError, match="line 9: kind 'sst-sf' takes no look-around "
+                                          "section 'lookbehind'"):
+        parse_machine_text(text)
+    path = tmp_path / "behind.sst-sf"
+    path.write_text(text)
+    assert main(["run", "-k", "4", str(path), "(a)^w"]) == 2
+
+
 @pytest.mark.parametrize("line", [
     "pos: x,a: La(x)",
     "pos: 1,a: La(x)\nord: 1,x: x < y",
@@ -156,7 +169,7 @@ def test_directives_of_another_kind_are_refused_with_a_line(line, key):
 def test_every_shipped_and_golden_file_parses():
     paths = sorted(p for p in MACHINES.iterdir() if p.name != "corpus.txt")
     paths += sorted(GOLDEN.iterdir())
-    assert len(paths) == 12
+    assert len(paths) == 13
     for path in paths:
         parse_machine(path)
 
@@ -206,7 +219,8 @@ def test_ambiguous_right_hand_side_is_refused():
 
 def test_every_shipped_machine_prints_back_unchanged():
     paths = sorted(p for p in MACHINES.iterdir() if p.name != "corpus.txt")
-    assert [p.suffix for p in paths] == [".2wst", ".fot", ".sst", ".2wst", ".dma", ".sst"]
+    assert [p.suffix for p in paths] == [".2wst", ".2wst", ".fot", ".sst", ".2wst", ".dma",
+                                         ".sst"]
     for path in paths:
         text = path.read_text()
         assert print_machine(parse_machine_text(text)) == text, path.name
@@ -244,6 +258,10 @@ _ONE_STATE_SST_SF = (
     "kind: sst-sf\nstates: q\ninitial: q\nalphabet: ab\nvars: X\n"
     "delta: q, _, a, _ -> q\nupdate: q, _, a, _: X := Xa\noutput: {q} -> X\n"
 )
+_ONE_STATE_2WST = (
+    "kind: 2wst\nstates: q\ninitial: q\nalphabet: ab\n"
+    "trans: q, _, a, _ -> q, \"a\", +1\nmuller: {q}\n"
+)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -256,7 +274,7 @@ _ONE_STATE_SST_SF = (
      r"update for \('q', 'b'\), which is not a transition"),
     (_ONE_STATE_SST_SF + "update: q, _, b, _: X := Xb\n",
      r"update for \('q', None, 'b', None\), which is not a transition"),
-    (_ONE_STATE_SST_SF + "lookbehind:\nkind: dfa\nstates: u\ninitial: u\nalphabet: ab\n"
+    (_ONE_STATE_2WST + "lookbehind:\nkind: dfa\nstates: u\ninitial: u\nalphabet: ab\n"
      "delta: u,a -> u\ndelta: u,b -> u\ndelta: u,c -> u\n",
      r"outside states × alphabet: \('u', 'c'\)"),
 ], ids=["sst-foreign-state-and-letter", "sst-foreign-letter", "dma-foreign-letter",
