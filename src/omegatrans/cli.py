@@ -167,8 +167,8 @@ def _count_of_two(t, word):
 def _cmd_monoid(args):
     m = _load(args.machine, want=_MONOID)
     mon = _MONOID[kind_name(m)](m, **_cap_kwargs(args))
-    print("size: %d" % len(mon.elements))
-    for element, word in mon.elements.items():
+    print("size: %d" % len(mon))
+    for element, word in mon.items():
         if kind_name(m) == "2wst":
             print(word or "ε")
         else:
@@ -293,7 +293,8 @@ def build_parser():
     p = sub.add_parser("eliminate-la", help="replace look-around by subsets")
     p.add_argument("machine")
     p.add_argument("-o", "--output", help="write the result here")
-    p.add_argument("--cap", type=int, help="configuration cap")
+    p.add_argument("--cap", type=int,
+                   help="cap on the reachable configurations and on the subset states")
     p.set_defaults(func=_cmd_eliminate)
 
     return parser

@@ -13,9 +13,13 @@ streaming machine here: the end marker's output is written by the rows
 that leave the initial state.  eliminate_lookaround then removes the
 look-ahead guards by a subset construction over configurations that track,
 besides the state, the set of pending look-ahead claims.  The result is a
-plain Sst that sst.run_output runs without its source.  compare_outputs is
-the harness that checks any two model implementations against each other
-on a corpus of words.
+plain Sst that sst.run_output runs without its source.  The states of
+both stages and the configurations are each found by muller.explore, one
+breadth-first search that raises CapExceeded past the stage's cap; the
+word it gives the first configuration of an accepting component leads the
+subset states to where that component's loop is followed.
+compare_outputs is the harness that checks any two model implementations
+against each other on a corpus of words.
 
 Guards mean the same thing here as on the two-way machine: a look-behind
 guard names the state the automaton reaches on the strict prefix before the
@@ -26,7 +30,7 @@ strict suffix after it.
 from collections import deque, namedtuple
 
 from .fot import Fot, run_fot
-from .muller import CapExceeded
+from .muller import explore
 from .sst import (PAD, NotInDomain, Sst, check_length, check_output_shape, run_output,
                   stream_output, streaming_fields)
 from .twowst import (LEFT, MARK, RIGHT, TwoWst, _WordContext, guarded_row, guarded_rows,
@@ -84,7 +88,7 @@ def _advance(s, cfg, key):
     return Configuration(s.delta[key], claims)
 
 
-def _fire(s, ctx, q, col):
+def _fire(ctx, q, col):
     """Key of the row firing in state q on the letter after column col."""
     pos = col + 1
     key = ctx.transition(q, pos)
@@ -124,7 +128,7 @@ def run_output_sst_sf(s, word, k):
     keys = []
 
     def step(q, col):
-        keys.append(_fire(s, ctx, q, col))
+        keys.append(_fire(ctx, q, col))
         return s.delta[keys[-1]]
 
     states, entry, _ = lasso(s.initial, step, ctx.entry_pos - 1, ctx.cycle_len)
@@ -254,13 +258,10 @@ def twowst_to_sst_sf(t, cap=12):
         aheads = {key[3] for key in t.delta if key[2] == a} - {None}
         cells.extend((a, alpha) for alpha in sorted(aheads, key=str) or (None,))
 
-    states = [init]
-    index = {init: 0}
-    queue = deque([init])
     delta = {}
     update = {}
-    while queue:
-        st = queue.popleft()
+
+    def successors(st):
         q, f, _, r = st
         for a, alpha in cells:
             cross = _crossings(t, dict(f), r, a, alpha)
@@ -268,14 +269,6 @@ def twowst_to_sst_sf(t, cap=12):
                 continue
             f2 = _crossing_map(cross, left)
             dest = (cross[q][0], f2, cross[q][2], behind.step(r, a) if behind else None)
-            if dest not in index:
-                if len(states) >= cap:
-                    raise CapExceeded(
-                        "state blowup: more than %d states in the conversion" % (cap,)
-                    )
-                index[dest] = len(states)
-                states.append(dest)
-                queue.append(dest)
             key = (st, None, a, alpha)
             delta[key] = dest
             subst = {x: () for x in variables}
@@ -287,7 +280,10 @@ def twowst_to_sst_sf(t, cap=12):
                 subst = {x: sum((marker_output.get(item, (item,)) for item in rhs), ())
                          for x, rhs in subst.items()}
             update[key] = subst
+            yield a, dest
 
+    states = [st for st, _w in explore(
+        init, successors, cap, "state blowup: more than %d states in the conversion")]
     succ = {}
     for key, dest in delta.items():
         succ.setdefault(key[0], {})[dest] = None
@@ -320,28 +316,24 @@ def _order_key(s):
 
 
 def _config_graph(s, cap):
-    """Reachable configurations and their letter/row edges."""
+    """Reachable configurations, their letter/row edges, and the word of
+    each one's first breadth-first path from the start."""
     start = Configuration(s.initial, frozenset())
     rows_by_state = {}
     for key in s.delta:
         rows_by_state.setdefault(key[0], []).append(key)
     for q in rows_by_state:
         rows_by_state[q].sort(key=lambda key: (s.alphabet.index(key[2]), str(key[3])))
-    adj = {start: []}
-    queue = deque([start])
-    while queue:
-        cfg = queue.popleft()
-        for key in rows_by_state.get(cfg.state, ()):
-            cfg2 = _advance(s, cfg, key)
-            if cfg2 not in adj:
-                if len(adj) >= cap:
-                    raise CapExceeded(
-                        "state blowup: more than %d reachable configurations" % (cap,)
-                    )
-                adj[cfg2] = []
-                queue.append(cfg2)
-            adj[cfg].append((key[2], key, cfg2))
-    return start, adj
+    adj = {}
+
+    def successors(cfg):
+        edges = adj[cfg] = [(key[2], key, _advance(s, cfg, key))
+                            for key in rows_by_state.get(cfg.state, ())]
+        return [(a, cfg2) for a, _key, cfg2 in edges]
+
+    words = dict(explore(start, successors, cap,
+                         "state blowup: more than %d reachable configurations"))
+    return start, adj, words
 
 
 def _sccs(nodes, succ):
@@ -408,7 +400,7 @@ def _bfs_path(src, dst, succ):
                 prev, a = back[cur]
                 path.append((a, cur))
                 cur = prev
-                if cur == src and len(path) >= 1:
+                if cur == src:
                     break
             path.reverse()
             return path
@@ -474,7 +466,7 @@ def _accepting_parts(s, adj, order_key):
 
 
 def _useful_parts(s, cap):
-    start, adj = _config_graph(s, cap)
+    start, adj, words = _config_graph(s, cap)
     order_key = _order_key(s)
     parts = _accepting_parts(s, adj, order_key)
     good = set()
@@ -492,13 +484,13 @@ def _useful_parts(s, cap):
             if pred not in useful:
                 useful.add(pred)
                 queue.append(pred)
-    return start, adj, parts, useful
+    return start, adj, words, parts, useful
 
 
 def useful_configs(s, cap=100000):
     """Configurations both reachable from the start and able to reach a
     component where the run can settle with all claims honoured."""
-    _start, _adj, _parts, useful = _useful_parts(s, cap)
+    _start, _adj, _words, _parts, useful = _useful_parts(s, cap)
     return useful
 
 
@@ -521,7 +513,7 @@ def eliminate_lookaround(s, cap=4096):
     streaming shape (sst.check_output_shape); a subset loop that two
     components would give different rules gets none.
     """
-    start, adj, parts, useful = _useful_parts(s, cap)
+    start, adj, words, parts, useful = _useful_parts(s, cap)
     if start not in useful:
         raise ValueError("the initial configuration is not useful: empty domain")
     order_key = _order_key(s)
@@ -542,13 +534,10 @@ def eliminate_lookaround(s, cap=4096):
         return {c: j for j, c in enumerate(sorted(S, key=order_key))}
 
     S0 = frozenset([start])
-    states = [S0]
-    seen = {S0}
-    queue = deque([S0])
     delta2 = {}
     update2 = {}
-    while queue:
-        S = queue.popleft()
+
+    def successors(S):
         rank = ranks(S)
         for a in s.alphabet:
             targets = {}
@@ -564,16 +553,12 @@ def eliminate_lookaround(s, cap=4096):
                         item if item[0] == "lit" else ("var", _slot(item[1], rank[c]))
                         for item in rhs
                     )
-            if S2 not in seen:
-                if len(states) >= cap:
-                    raise CapExceeded(
-                        "state blowup: more than %d subset states" % (cap,)
-                    )
-                seen.add(S2)
-                states.append(S2)
-                queue.append(S2)
             delta2[(S, a)] = S2
             update2[(S, a)] = subst
+            yield a, S2
+
+    states = [S for S, _w in explore(
+        S0, successors, cap, "state blowup: more than %d subset states")]
 
     variables = tuple(
         _slot(x, j) for j in range(max(map(len, states))) for x in s.variables
@@ -582,17 +567,11 @@ def eliminate_lookaround(s, cap=4096):
         for v in variables:
             subst.setdefault(v, ())
 
-    def succ_full(n):
-        for a, _key, c2 in adj[n]:
-            yield (a, c2)
-
     output2 = {}
     conflicted = set()
     for comp_sorted, walk, P in parts:
-        anchor = comp_sorted[0]
-        prefix = [] if anchor == start else _bfs_path(start, anchor, succ_full)
         S = S0
-        for a, _node in prefix:
+        for a in words[comp_sorted[0]]:
             S = delta2[(S, a)]
         letters = [a for a, _node in walk]
         laps, entry, _ = lasso(

@@ -121,9 +121,6 @@ class Fot:
                     % (c, d, sorted(extra))
                 )
 
-    def output_letters(self):
-        return sorted({letter for _, letter in self.labels})
-
 
 def fot_domain(t, word):
     """Whether the word satisfies the domain sentence."""

@@ -26,6 +26,12 @@ module sst adds a count block to each summary; the crossing quadrants of
 module twowst use the destination None where no run leaves.  The automaton
 is counter-free exactly when every element M of the (finite) monoid
 satisfies M^n = M^(n+1) for some n.
+
+The monoid is enumerated by explore, a breadth-first search that yields
+each node with the word of its first path and raises CapExceeded past its
+cap.  The 1-boundedness search of module sst and the constructions of
+module constructions run on it too, so every cap of the package is
+checked there.
 """
 
 from .words import lasso
@@ -212,19 +218,7 @@ class TransitionMatrix:
     def entry(self, p, q):
         """One entry of the matrix view; p and q are (state, variable)
         pairs in a flow monoid."""
-        space = self.space
-        flow = space.variables is not None
-        if flow:
-            (p, x), (q, y) = p, q
-        i = space.index.get(p)
-        if i is None:
-            return BOT
-        d, v, c = self.runs[i]
-        if d is None or space.states[d] != q:
-            return BOT
-        if not flow:
-            return space.coordinates(v)
-        return (c[space.var_index[x] * space.nx + space.var_index[y]], space.coordinates(v))
+        return self.rows.get(p, {}).get(q, BOT)
 
     def max_count(self):
         return max((max(c, default=0) for d, _, c in self.runs if d is not None), default=0)
@@ -328,23 +322,33 @@ class CapExceeded(Exception):
     """A resource limit was hit: a monoid or construction cap."""
 
 
-class Monoid:
-    """A generated matrix monoid with shortest generating words.
+def explore(start, successors, cap, blowup):
+    """Yield (node, word) for every node reachable from start, breadth-first,
+    each when it is first reached, with the word of that first path.
 
-    elements maps each matrix to its shortlex-least generating word (the empty
-    word names the identity), and lists them in shortlex order of those words
-    (shortlex_elements proves it).
+    successors(node) lists (letter, node) pairs in the order to follow
+    them; an edge into a node already reached is ignored.  start comes
+    first, with "", then the nodes first reached by paths of length 1, 2,
+    ..., each length in the order of the nodes before it and of their
+    edges.  Raises CapExceeded(blowup % cap) instead of yielding node
+    cap + 1, so a consumer that stops earlier never sees the cap.  The
+    monoids, the 1-boundedness search and the constructions of module
+    constructions are all this search.
     """
-
-    def __init__(self, elements, identity):
-        self.elements = elements
-        self.identity = identity
-
-    def __len__(self):
-        return len(self.elements)
-
-    def shortest_words(self):
-        return list(self.elements.values())
+    seen = {start}
+    yield start, ""
+    frontier = [(start, "")]
+    while frontier:
+        new_frontier = []
+        for node, w in frontier:
+            for a, node2 in successors(node):
+                if node2 not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(blowup % cap)
+                    seen.add(node2)
+                    new_frontier.append((node2, w + a))
+                    yield node2, w + a
+        frontier = new_frontier
 
 
 def shortlex_elements(generators, identity, cap=10 ** 6):
@@ -366,27 +370,15 @@ def shortlex_elements(generators, identity, cap=10 ** 6):
     m is its least word.  New elements therefore come, and make up the next
     frontier, in lexicographic order.
     """
-    seen = {identity}
-    yield identity, ""
-    frontier = [(identity, "")]
-    letters = sorted(generators)
-    while frontier:
-        new_frontier = []
-        for m, w in frontier:
-            for a in letters:
-                m2 = m * generators[a]
-                if m2 not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded("monoid exceeded %d elements" % cap)
-                    seen.add(m2)
-                    new_frontier.append((m2, w + a))
-                    yield m2, w + a
-        frontier = new_frontier
+    gens = sorted(generators.items())
+    return explore(identity, lambda m: [(a, m * g) for a, g in gens], cap,
+                   "monoid exceeded %d elements")
 
 
 def generate_monoid(generators, identity, cap=10 ** 6):
-    """The whole monoid of shortlex_elements, in its order."""
-    return Monoid(dict(shortlex_elements(generators, identity, cap)), identity)
+    """The whole monoid of shortlex_elements as {element: least word}, in
+    its order; the empty word names the identity."""
+    return dict(shortlex_elements(generators, identity, cap))
 
 
 def _dma_generators(dma):

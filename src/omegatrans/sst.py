@@ -34,11 +34,11 @@ it.
 
 from .muller import (
     BOT,
-    CapExceeded,
     SummarySpace,
     _Memo,
     aperiodicity_witness,
     check_total,
+    explore,
     generate_monoid,
 )
 from .words import lasso
@@ -479,8 +479,8 @@ def is_1_bounded(t, cap=10 ** 6):
     x: (q, y, y, False) is in it iff some count of x into y is at least 1,
     (q, y1, y2, True) with y1 != y2 iff the counts of one x into y1 and y2
     are both at least 1, and (q, y, y, True) iff some count into y is 2.  The set of w·u depends only on the set of w
-    and on u, so the breadth-first search in sorted letter order keeps only
-    the first word of each set, as shortlex_elements does with elements, and
+    and on u, so the breadth-first search in sorted letter order (explore)
+    keeps only the first word of each set, as it does with monoid elements, and
     meets every set first at its shortlex-least word.  The first set with a
     count of 2 thus names the shortlex-least word whose flow element has
     one, the witness a scan of sst_monoid in shortlex order finds, and the
@@ -508,25 +508,14 @@ def is_1_bounded(t, cap=10 ** 6):
 
     step = _Memo(successors, {})
     start = frozenset((p, x, x, False) for p in t.states for x in t.variables)
-    seen = {start}
-    frontier = [(start, "")]
     letters = sorted(t.alphabet)
-    while frontier:
-        new_frontier = []
-        for nodes, w in frontier:
-            for a in letters:
-                nodes2 = frozenset().union(*(step[node, a] for node in nodes))
-                if nodes2 in seen:
-                    continue
-                if len(seen) >= cap:
-                    raise CapExceeded(
-                        "1-boundedness search exceeded its cap of %d sets of copy-path pairs"
-                        % cap)
-                if any(split and y1 == y2 for _, y1, y2, split in nodes2):
-                    return False, w + a
-                seen.add(nodes2)
-                new_frontier.append((nodes2, w + a))
-        frontier = new_frontier
+    for nodes, w in explore(
+            start,
+            lambda nodes: [(a, frozenset().union(*(step[node, a] for node in nodes)))
+                           for a in letters],
+            cap, "1-boundedness search exceeded its cap of %d sets of copy-path pairs"):
+        if any(split and y1 == y2 for _, y1, y2, split in nodes):
+            return False, w
     return True, None
 
 

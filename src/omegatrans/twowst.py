@@ -345,7 +345,7 @@ def realizable_contexts(a, cap=10 ** 6):
     by lookahead guards.  Enumerated over lasso words built from shortest
     representatives of a's transition monoid.
     """
-    words_ = dma_monoid(a, cap).shortest_words()
+    words_ = list(dma_monoid(a, cap).values())
     out = set()
     for u in words_:
         for v in words_:
@@ -376,17 +376,16 @@ SIDES = ("ll", "lr", "rl", "rr")
 class TwowstElement:
     """Monoid element of a two-way machine on some factor.
 
-    Carries the lookbehind state map, the lookahead state map and letter
-    matrix, and for every (lookbehind entry state, right context) pair the
-    four crossing quadrants as run summaries.
+    Carries the lookbehind state map, the lookahead letter matrix (whose
+    runs give the lookahead state map), and for every (lookbehind entry
+    state, right context) pair the four crossing quadrants as run summaries.
     """
 
-    __slots__ = ("t", "eta_b", "eta_a", "m_a", "tables", "_key")
+    __slots__ = ("t", "eta_b", "m_a", "tables", "_key")
 
-    def __init__(self, t, eta_b, eta_a, m_a, tables):
+    def __init__(self, t, eta_b, m_a, tables):
         self.t = t
         self.eta_b = eta_b
-        self.eta_a = eta_a
         self.m_a = m_a
         self.tables = tables
         self._key = None
@@ -395,7 +394,6 @@ class TwowstElement:
         if self._key is None:
             self._key = (
                 frozenset(self.eta_b.items()) if self.eta_b else None,
-                frozenset(self.eta_a.items()) if self.eta_a else None,
                 self.m_a,
                 frozenset(
                     (e, c, side, quads[side])
@@ -433,7 +431,6 @@ def identity_element(t):
     return TwowstElement(
         t,
         {s: s for s in b.states} if b else {},
-        {s: s for s in a.states} if a else {},
         identity_matrix(a.states, a.muller_sets) if a else None,
         tables,
     )
@@ -452,7 +449,6 @@ def element_of_word(t, factor):
     a = t.lookahead
     b = t.lookbehind
     eta_b = {s: b.run(factor, s) for s in b.states} if b else {}
-    eta_a = {s: a.run_factor(s, factor)[0] for s in a.states} if a else {}
     m_a = matrix_of_word(a, factor) if a else None
     space = _space(t)
     tables = {}
@@ -476,7 +472,7 @@ def element_of_word(t, factor):
                         side = enter + ("l" if exit_pos == 0 else "r")
                         runs[side][i] = (q2, states, ())
             tables[(e, c)] = {side: space.element(runs[side]) for side in SIDES}
-    return TwowstElement(t, eta_b, eta_a, m_a, tables)
+    return TwowstElement(t, eta_b, m_a, tables)
 
 
 def _combine_quadrants(a, b):
@@ -531,17 +527,17 @@ def compose_behaviors(x1, x2):
     t = x1.t
     a = t.lookahead
     eta_b = {s: x2.eta_b[v] for s, v in x1.eta_b.items()}
-    eta_a = {s: x2.eta_a[v] for s, v in x1.eta_a.items()}
     m_a = x1.m_a * x2.m_a if x1.m_a is not None else None
     tables = {}
     for (e, c) in x1.tables:
         if c is None:
             c1 = None
         else:
-            c1 = frozenset(p for p in a.states if x2.eta_a[p] in c)
+            c1 = frozenset(p for p, (d, _, _) in zip(a.states, x2.m_a.runs)
+                           if a.states[d] in c)
         e2 = e if e is None else x1.eta_b[e]
         tables[(e, c)] = _combine_quadrants(x1.tables[(e, c1)], x2.tables[(e2, c)])
-    return TwowstElement(t, eta_b, eta_a, m_a, tables)
+    return TwowstElement(t, eta_b, m_a, tables)
 
 
 def _twowst_generators(t):

@@ -1,3 +1,4 @@
+import pathlib
 import random
 import re
 
@@ -6,6 +7,8 @@ import pytest
 from omegatrans import sst
 from omegatrans.constructions import (
     SstSf,
+    _bfs_path,
+    _config_graph,
     compare_outputs,
     eliminate_lookaround,
     run_model,
@@ -39,10 +42,13 @@ from omegatrans.sst import (
     run_output,
     sst_monoid,
 )
+from omegatrans.formats import parse_machine
 from omegatrans.fot import run_fot
 from omegatrans.twowst import (LEFT, MARK, RIGHT, STAY, Dfa, TwoWst, is_aperiodic_2wst,
                                run_2wst)
 from omegatrans.words import UPWord
+
+MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
 
 
 def tie_break_machine():
@@ -362,6 +368,22 @@ def test_useful_configurations_of_the_mirror():
     assert all(not {"y", "n"} <= set(c.claims) for c in useful)
 
 
+@pytest.mark.parametrize("source", ["mirror", "f1.2wst", "behind.2wst"])
+def test_configuration_words_spell_the_shortest_paths(source):
+    """The word _config_graph gives a configuration is the path _bfs_path
+    finds to it, so the subset states follow it to an accepting component."""
+    t = mirror_twowst() if source == "mirror" else parse_machine(str(MACHINES / source))
+    start, adj, words = _config_graph(twowst_to_sst_sf(t), 10 ** 4)
+    assert list(words) == list(adj) and words[start] == ""
+
+    def succ(n):
+        return [(a, c2) for a, _key, c2 in adj[n]]
+
+    for c in adj:
+        if c != start:
+            assert words[c] == "".join(a for a, _node in _bfs_path(start, c, succ))
+
+
 def test_elimination_of_the_mirror_lookahead():
     s = twowst_to_sst_sf(mirror_twowst())
     elim = eliminate_lookaround(s)
@@ -374,7 +396,7 @@ def test_elimination_of_the_mirror_lookahead():
 def test_eliminated_mirror_is_aperiodic_and_1_bounded():
     s = twowst_to_sst_sf(mirror_twowst())
     elim = eliminate_lookaround(s)
-    assert len(sst_monoid(elim).elements) == 6
+    assert len(sst_monoid(elim)) == 6
     assert is_1_bounded(elim) == (True, None)
     assert is_aperiodic_sst(elim) == (True, None)
 

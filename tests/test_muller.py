@@ -185,18 +185,44 @@ def test_last_letter_is_counter_free():
 
 def test_monoid_tracks_shortest_words():
     mon = mu.dma_monoid(settling_loops_dma())
-    words = mon.shortest_words()
+    words = list(mon.values())
     assert words[0] == ""
     assert set(words) >= {"", "a", "b"}
     # every stored word really generates its matrix
     d = settling_loops_dma()
-    for m, w in mon.elements.items():
+    for m, w in mon.items():
         assert mu.matrix_of_word(d, w) == m
 
 
 def test_cap():
     with pytest.raises(mu.CapExceeded):
         mu.dma_monoid(settling_loops_dma(), cap=2)
+
+
+# 0 -a-> 1, 0 -b-> 2, 1 -b-> 3, 2 -b-> 4; the other edges lead to nodes
+# reached before them
+GRAPH = {0: [("a", 1), ("b", 2)], 1: [("a", 0), ("b", 3)], 2: [("a", 3), ("b", 4)],
+         3: [("a", 4)], 4: [("a", 4), ("b", 0)]}
+
+
+def test_explore_yields_each_node_once_with_its_first_path():
+    assert list(mu.explore(0, GRAPH.__getitem__, 5, "cap %d")) == [
+        (0, ""), (1, "a"), (2, "b"), (3, "ab"), (4, "bb")]
+
+
+def test_explore_caps_the_nodes_it_yields():
+    with pytest.raises(mu.CapExceeded, match="^more than 4 nodes$"):
+        list(mu.explore(0, GRAPH.__getitem__, 4, "more than %d nodes"))
+    assert len(list(mu.explore(0, GRAPH.__getitem__, 5, "more than %d nodes"))) == 5
+
+
+def test_explore_raises_nothing_for_a_consumer_that_stops_at_the_cap():
+    """check-aperiodic --cap stops at a witness without meeting the cap,
+    also when the witness is not the last node of its length."""
+    nodes = mu.explore(0, GRAPH.__getitem__, 2, "more than %d nodes")
+    assert [next(nodes) for _ in range(2)] == [(0, ""), (1, "a")]
+    with pytest.raises(mu.CapExceeded, match="^more than 2 nodes$"):
+        next(nodes)
 
 
 # --- random-machine properties ---------------------------------------------
@@ -272,7 +298,7 @@ def test_language_monoid_consistency(d, u, v):
 
 
 def _in_shortlex_order(mon):
-    words = list(mon.elements.values())
+    words = list(mon.values())
     return words == sorted(words, key=lambda w: (len(w), w))
 
 
@@ -293,7 +319,7 @@ def test_flow_and_two_way_monoids_list_their_elements_in_shortlex_order():
 def _scan_verdict(mon):
     """The full-scan rule: the first element of the whole monoid, in its
     shortlex order, whose powers cycle."""
-    w = next((w for m, w in mon.elements.items() if mu.power_cycle_length(m) != 1), None)
+    w = next((w for m, w in mon.items() if mu.power_cycle_length(m) != 1), None)
     return (w is None), w
 
 
@@ -315,7 +341,7 @@ def test_early_witness_equals_the_full_scan():
             continue
         # the scan stops at the witness's element: a cap of its position
         # is enough, and one less is not
-        position = list(mon.elements.values()).index(expected[1]) + 1
+        position = list(mon.values()).index(expected[1]) + 1
         assert position < len(mon)
         assert verdict(m, cap=position) == expected
         with pytest.raises(mu.CapExceeded):

@@ -225,7 +225,7 @@ def test_settling_loops_sst_is_not_1_bounded():
 def _monoid_scan(t):
     """The 1-boundedness oracle: the flow monoid in shortlex order of its
     words, scanned for the first element with a count of 2."""
-    elements = sorted(sst_monoid(t).elements.items(), key=lambda kv: (len(kv[1]), kv[1]))
+    elements = sorted(sst_monoid(t).items(), key=lambda kv: (len(kv[1]), kv[1]))
     for m, w in elements:
         if m.max_count() >= 2:
             return False, w

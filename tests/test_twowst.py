@@ -257,7 +257,7 @@ def test_identity_element_laws():
 def test_mirror_machine_is_aperiodic():
     # computed once: the behavior monoid has 9 elements, all stabilizing
     t = mirror_twowst()
-    assert len(twowst_monoid(t).elements) == 9
+    assert len(twowst_monoid(t)) == 9
     assert is_aperiodic_2wst(t) == (True, None)
 
 
