@@ -22,7 +22,6 @@ from .constructions import (
     run_model,
     twowst_to_sst_sf,
 )
-from .fixtures import random_upword
 from .formats import (
     FormatError,
     kind_name,
@@ -40,7 +39,7 @@ from .sst import (
     sst_monoid,
 )
 from .twowst import anchored_behavior, is_aperiodic_2wst, twowst_monoid
-from .words import UPWord, format_word, parse_word
+from .words import UPWord, format_word, parse_word, random_upword
 
 
 def emit_dot(g, path):
@@ -307,13 +306,7 @@ def main(argv=None):
     except CapExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except FormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

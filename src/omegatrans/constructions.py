@@ -517,8 +517,9 @@ def eliminate_lookaround(s, cap=4096):
     if start not in useful:
         raise ValueError("the initial configuration is not useful: empty domain")
     order_key = _order_key(s)
+    configs = sorted(useful, key=order_key)
     step_rows = {}
-    for c in useful:
+    for c in configs:
         for a, key, c2 in adj[c]:
             if c2 not in useful:
                 continue
@@ -597,7 +598,7 @@ def eliminate_lookaround(s, cap=4096):
         output2.pop(Pprime, None)
 
     result = Sst(states, s.alphabet, S0, delta2, variables, update2, output2)
-    result._elimination = {"configs": sorted(useful, key=order_key)}
+    result._elimination = {"configs": configs}
     return result
 
 

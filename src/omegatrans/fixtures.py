@@ -1,21 +1,31 @@
-"""Built-in machines used by the tests, the demos, and the shipped files.
+"""Machines and word generators used by the tests, the demos and perfbench.
 
-Each function builds a fresh machine; none keeps global state.  The star of
-the collection is the mirror-copy transformation over {a, b, #}: a word
-u1#u2#...#un# t (finitely many #s, t separator-free) maps to
-rev(u1)u1#rev(u2)u2#...#rev(un)# t.  It is realized three ways (two-way
-transducer, streaming transducer, first-order transducer) and drives the
-cross-model agreement tests.
+The paper's worked examples are defined once, as the text files under
+machines/ at the root of the checkout: settling.dma and settling.sst (the
+non-aperiodic settling-loops pair) and the mirror-copy transformation over
+{a, b, #}, which maps a word u1#u2#...#un# t (finitely many #s, t
+separator-free) to rev(u1)u1#rev(u2)u2#...#rev(un)# t.  The mirror map is
+realized three ways (f1.2wst, f1.sst, f1.fot) and drives the cross-model
+agreement tests.  The functions named after those machines parse their
+files; the rest build small machines or random draws in code.  Each call
+returns a fresh machine, since machines cache results on themselves.
 """
 
 import random
+from pathlib import Path
 
-from .fologic import parse_formula
-from .fot import Fot
+from .formats import parse_machine
 from .muller import Dma
 from .sst import Sst, analyze_run, parse_rhs
 from .twowst import LEFT, MARK, RIGHT, STAY, TwoWst
-from .words import UPWord
+from .words import UPWord, random_upword
+
+_MACHINES = Path(__file__).resolve().parents[2] / "machines"
+
+
+def _shipped(name):
+    """A fresh parse of the machine file machines/<name>."""
+    return parse_machine(_MACHINES / name)
 
 
 def settling_loops_dma():
@@ -24,17 +34,9 @@ def settling_loops_dma():
     Which loop a tail can settle into depends on the parity of the letters
     read before it (a swaps q and t, b swaps r and t), so both letter matrices
     have powers that alternate forever: the canonical non-counter-free Muller
-    automaton.
+    automaton.  Loaded from machines/settling.dma.
     """
-    delta = {
-        ("t", "a"): "q",
-        ("t", "b"): "r",
-        ("q", "a"): "t",
-        ("q", "b"): "q",
-        ("r", "a"): "r",
-        ("r", "b"): "t",
-    }
-    return Dma(["q", "r", "t"], "ab", "t", delta, [{"q"}, {"r"}])
+    return _shipped("settling.dma")
 
 
 def _updates(variables, table):
@@ -55,24 +57,10 @@ def mirror_sst():
     x collects the finished blocks, y mirrors the current block (αyα), and z
     keeps a plain copy of it; at a separator the finished ūu# moves into x.
     The output rule xz covers words with finitely many separators: x holds
-    the processed part, z the separator-free tail.
+    the processed part, z the separator-free tail.  Loaded from
+    machines/f1.sst.
     """
-    variables = ("x", "y", "z")
-    delta = {}
-    update = {}
-    for alpha in "ab":
-        delta[(1, alpha)] = 2
-        delta[(2, alpha)] = 2
-        rhs = "x := x; y := {0}y{0}; z := z{0}".format(alpha)
-        update[(1, alpha)] = rhs
-        update[(2, alpha)] = rhs
-    delta[(1, "#")] = 1
-    delta[(2, "#")] = 1
-    update[(1, "#")] = "x := x#; y := ε; z := ε"
-    update[(2, "#")] = "x := xy#; y := ε; z := ε"
-    return Sst(
-        [1, 2], "ab#", 1, delta, variables, _updates(variables, update), {(2,): ("x", "z")}
-    )
+    return _shipped("f1.sst")
 
 
 def settling_loops_sst():
@@ -80,34 +68,10 @@ def settling_loops_sst():
 
     The b-loop at q runs Y := YX with X untouched, so over bb two copies of
     X's content land in Y: the standard example of a flow count reaching 2
-    (not 1-bounded) while each single transition looks harmless.
+    (not 1-bounded) while each single transition looks harmless.  Loaded
+    from machines/settling.sst.
     """
-    variables = ("X", "Y")
-    update = {
-        ("t", "a"): "Y := aX",
-        ("t", "b"): "X := bY",
-        ("q", "a"): "X := bX",
-        ("q", "b"): "Y := YX",
-        ("r", "a"): "X := Xb",
-        ("r", "b"): "X := X",
-    }
-    delta = {
-        ("t", "a"): "q",
-        ("t", "b"): "r",
-        ("q", "a"): "t",
-        ("q", "b"): "q",
-        ("r", "a"): "r",
-        ("r", "b"): "t",
-    }
-    return Sst(
-        ["t", "q", "r"],
-        "ab",
-        "t",
-        delta,
-        variables,
-        _updates(variables, update),
-        {("q",): ("X", "Y"), ("r",): ("X",)},
-    )
+    return _shipped("settling.sst")
 
 
 def output_graph_demo_sst():
@@ -167,12 +131,6 @@ def last_letter_dma():
         ("v", "b"): "u",
     }
     return Dma(["u", "v"], "ab", "u", delta, [{"u", "v"}])
-
-
-def random_upword(rng, alphabet, max_prefix=2, max_period=2):
-    prefix = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_prefix)))
-    period = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, max_period)))
-    return UPWord(prefix, period)
 
 
 def random_copyless_sst(rng, max_states=4, max_vars=3, alphabet="ab"):
@@ -259,19 +217,13 @@ def domain_words(t, rng, count, attempts=500, settle_cap=None, max_prefix=2, max
             out.append(w)
     return out
 
+
 def mirror_lookahead_dma():
     """Suffix classifier for the mirror machine: y asks "is there a
     separator ahead", n asks "is the rest separator-free"; m and d are the
-    sink verdicts the two questions resolve into."""
-    delta = {}
-    for st in "ymnd":
-        for al in "ab":
-            delta[(st, al)] = st
-    delta[("y", "#")] = "m"
-    delta[("n", "#")] = "d"
-    delta[("m", "#")] = "m"
-    delta[("d", "#")] = "d"
-    return Dma("ymnd", "ab#", "y", delta, [{"m"}, {"n"}, {"m", "n"}])
+    sink verdicts the two questions resolve into.  The look-ahead section of
+    machines/f1.2wst."""
+    return mirror_twowst().lookahead
 
 
 def mirror_twowst():
@@ -280,20 +232,10 @@ def mirror_twowst():
     t scans rightward; while a separator is still ahead it stays silent, on
     the tail it copies.  At a separator the head turns around: p walks the
     block leftward emitting it reversed, q re-walks it verbatim, then the
-    separator itself is emitted and t continues.
+    separator itself is emitted and t continues.  Loaded from
+    machines/f1.2wst.
     """
-    ahead = mirror_lookahead_dma()
-    delta = {}
-    for al in "ab":
-        delta[("t", None, al, "y")] = ("t", "", RIGHT)
-        delta[("t", None, al, "n")] = ("t", al, RIGHT)
-        delta[("p", None, al, None)] = ("p", al, LEFT)
-        delta[("q", None, al, None)] = ("q", al, RIGHT)
-    delta[("t", None, "#", None)] = ("p", "", LEFT)
-    delta[("p", None, "#", None)] = ("q", "", RIGHT)
-    delta[("p", None, MARK, None)] = ("q", "", RIGHT)
-    delta[("q", None, "#", None)] = ("t", "#", RIGHT)
-    return TwoWst("tpq", "ab#", "t", delta, [{"t"}], lookahead=ahead)
+    return _shipped("f1.2wst")
 
 
 def alternating_copier_twowst():
@@ -355,29 +297,7 @@ def mirror_fot():
     copy 1 the verbatim image, copy 3 the separators and the eventually
     separator-free tail.  The order formulas generate the output order:
     within a block all copy-2 nodes (read backwards) precede all copy-1
-    nodes (read forwards), and a block's separator closes it.
+    nodes (read forwards), and a block's separator closes it.  Loaded from
+    machines/f1.fot.
     """
-    reach = "(E y. (x < y & L#(y)))"
-    btw = "(E z. (L#(z) & ((x < z & z < y) | (y < z & z < x))))"
-    labels = {}
-    for g in "ab":
-        block = "L%s(x) & !L#(x) & %s" % (g, reach)
-        labels[(1, g)] = parse_formula(block)
-        labels[(2, g)] = parse_formula(block)
-    for g in "ab#":
-        tail = "L%s(x) & (L#(x) | (!L#(x) & !%s))" % (g, reach)
-        labels[(3, g)] = parse_formula(tail)
-    order = {
-        (1, 1): "x < y",
-        (3, 3): "x < y",
-        (2, 2): "(%s -> x < y) & (!%s -> y < x)" % (btw, btw),
-        (1, 3): "L#(y) & x < y",
-        (2, 3): "L#(y) & x < y",
-        (3, 1): "L#(x) & x < y",
-        (3, 2): "L#(x) & x < y",
-        (1, 2): "x < y & %s" % btw,
-        (2, 1): "(x < y & %s) | (!%s & (y < x | y = x))" % (btw, btw),
-    }
-    order = {pair: parse_formula(text) for pair, text in order.items()}
-    dom = parse_formula("E x. A y. (x < y -> !L#(y))")
-    return Fot("ab#", (1, 2, 3), dom, labels, order)
+    return _shipped("f1.fot")

@@ -243,9 +243,6 @@ class Sst:
             self.states, self.delta, variables, update, F
         )
 
-    def step(self, q, a):
-        return self.delta[(q, a)]
-
     def run_factor(self, q, factor):
         """(end state, set of states of the run, endpoints included)."""
         seen = {q}

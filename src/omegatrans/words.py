@@ -48,10 +48,6 @@ class UPWord:
     def __str__(self):
         return format_word(self)
 
-    def letters(self):
-        """Set of letters that actually occur in the word."""
-        return set(self.prefix) | set(self.period)
-
     def letter_at(self, i):
         """Letter at 1-based position i."""
         if i < 1:
@@ -188,3 +184,11 @@ def format_word(w):
     """Inverse of parse_word on canonical words."""
     esc = lambda s: "".join("\\" + c if c in "()\\" else c for c in s)
     return "%s(%s)^w" % (esc(w.prefix), esc(w.period))
+
+
+def random_upword(rng, alphabet, max_prefix=2, max_period=2):
+    """A word whose prefix and period lengths rng draws from 0..max_prefix and
+    1..max_period, letter by letter from alphabet."""
+    prefix = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_prefix)))
+    period = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, max_period)))
+    return UPWord(prefix, period)

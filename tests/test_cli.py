@@ -252,6 +252,7 @@ from omegatrans.formats import parse_machine
 machines, tmp = sys.argv[1], sys.argv[2]
 sst, twowst, fot = (os.path.join(machines, "f1." + kind) for kind in ("sst", "2wst", "fot"))
 assert "numpy" not in sys.modules, "import"
+assert "omegatrans.fixtures" not in sys.modules, "import"
 
 
 def run(argv):

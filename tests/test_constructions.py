@@ -6,6 +6,7 @@ import pytest
 
 from omegatrans import sst
 from omegatrans.constructions import (
+    Configuration,
     SstSf,
     _bfs_path,
     _config_graph,
@@ -350,6 +351,23 @@ def test_overlapping_guards_are_an_error_at_run_time():
                 lookahead=ahead)
     with pytest.raises(ValueError, match="ambiguous guards"):
         run_output_sst_sf(amb, UPWord("", "a"), 5)
+
+
+def test_ambiguous_rows_name_the_least_clashing_configuration():
+    """s and t swap on a, each by an unguarded and a p-guarded row.  The
+    claim p stays p on a, so both rows lead a configuration that holds p
+    into the same one: (s, {p}) and (t, {p}) each clash, and the error
+    names the pair the configuration order puts first, whatever the
+    process's hash seed."""
+    ahead = Dma("p", "a", "p", {("p", "a"): "p"}, [{"p"}])
+    delta = {(q, None, "a", p): q2 for q, q2 in ("st", "ts") for p in (None, "p")}
+    update = {key: {"X": parse_rhs("Xa", ("X",))} for key in delta}
+    clash = SstSf("st", "a", "s", delta, ("X",), update, {frozenset("st"): ("X",)},
+                  lookahead=ahead)
+    first = "(%r -> %r on 'a')" % (Configuration("s", frozenset("p")),
+                                   Configuration("t", frozenset("p")))
+    with pytest.raises(ValueError, match=re.escape(first)):
+        eliminate_lookaround(clash)
 
 
 def test_word_with_no_firing_transition_is_rejected():

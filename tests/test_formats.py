@@ -79,16 +79,7 @@ def test_renaming_gives_plain_tokens():
     assert text.startswith("kind: sst\nstates: s0 s1 s2 s3 s4\n")
 
 
-def test_shipped_files_match_the_fixtures():
-    assert fields(parse_machine(MACHINES / "f1.sst")) == fields(mirror_sst())
-    assert fields(parse_machine(MACHINES / "f1.2wst")) == fields(mirror_twowst())
-    assert fields(parse_machine(MACHINES / "f1.fot")) == fields(mirror_fot())
-    assert fields(parse_machine(MACHINES / "settling.dma")) == fields(
-        settling_loops_dma()
-    )
-    assert fields(parse_machine(MACHINES / "settling.sst")) == fields(
-        settling_loops_sst()
-    )
+def test_shipped_corpus_matches_its_generator():
     assert parse_corpus(MACHINES / "corpus.txt") == mirror_corpus()
 
 
