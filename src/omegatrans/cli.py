@@ -2,7 +2,9 @@
 
 Verbs: run, compare, check-aperiodic, check-1bounded, monoid, behavior,
 graph, compile, eliminate-la.  Machine files use the `kind:`-headed text
-format from formats.py; words are written as PREFIX(PERIOD)^w.
+format from formats.py; words are written as PREFIX(PERIOD)^w.  main
+builds the parser on its first call and reuses it; build_parser imports
+argparse, so importing this module loads neither argparse nor numpy.
 
 Exit codes: 0 success (or all-equal for compare), 1 a property failed, a
 word was rejected, or a mismatch was found, 2 usage or parse errors (a file
@@ -12,7 +14,6 @@ search grew past its --cap (CapExceeded).  Every runner is exact and has
 no limit of its own, the first-order runner included.
 """
 
-import argparse
 import random
 import sys
 
@@ -229,6 +230,9 @@ def _cmd_eliminate(args):
 
 
 def build_parser():
+    """A fresh parser of the command line."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="omega-trans",
         description="Run, compare, check and compile transducers on "
@@ -299,8 +303,13 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -377,24 +377,29 @@ def printable_machine(m):
 
     Machines built by hand already carry token names and come back
     unchanged (the identity renaming preserves every field); conversion and
-    elimination results get s0, s1, ... states in state order.  Transition
-    keys lead with their source state, which is the only part renamed;
-    guards name states of the look-around automata, which are kept.
+    elimination results get s0, s1, ... states in state order.  The embedded
+    look-around automata are renamed the same way, and so are the guards of
+    the keys (state, behind, letter, ahead) that name their states.
     """
     if not isinstance(m, (Dma, Dfa, Sst, SstSf, TwoWst)):
         return m
     ren = _token_map(m.states, "s")
     states = [ren[q] for q in m.states]
+    la, lb = getattr(m, "lookahead", None), getattr(m, "lookbehind", None)
+    ahead, behind = ({None: None, **(_token_map(a.states, "s") if a else {})}
+                     for a in (la, lb))
 
     def key(k):
-        return (ren[k[0]],) + k[1:]
+        if len(k) == 2:
+            return (ren[k[0]], k[1])
+        return (ren[k[0]], behind[k[1]], k[2], ahead[k[3]])
 
     if isinstance(m, TwoWst):
         return TwoWst(
             states, m.alphabet, ren[m.initial],
             {key(k): (ren[q2], out, move) for k, (q2, out, move) in m.delta.items()},
             [frozenset(ren[q] for q in P) for P in m.muller_sets],
-            lookahead=m.lookahead, lookbehind=m.lookbehind,
+            lookahead=printable_machine(la), lookbehind=printable_machine(lb),
         )
     delta = {key(k): ren[q2] for k, q2 in m.delta.items()}
     if isinstance(m, Dfa):
@@ -403,7 +408,7 @@ def printable_machine(m):
         return Dma(states, m.alphabet, ren[m.initial], delta,
                    [frozenset(ren[q] for q in P) for P in m.muller_sets])
     var = _token_map(m.variables, "v")
-    guarded = {} if isinstance(m, Sst) else {"lookahead": m.lookahead}
+    guarded = {} if isinstance(m, Sst) else {"lookahead": printable_machine(la)}
     return type(m)(
         states, m.alphabet, ren[m.initial], delta, [var[x] for x in m.variables],
         {key(k): {var[x]: tuple((tag, var[v] if tag == "var" else v) for tag, v in rhs)

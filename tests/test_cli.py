@@ -3,6 +3,9 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from omegatrans import cli
 from omegatrans.cli import main
 from omegatrans.fixtures import plain_copier_twowst
 from omegatrans.formats import print_machine
@@ -253,6 +256,7 @@ machines, tmp = sys.argv[1], sys.argv[2]
 sst, twowst, fot = (os.path.join(machines, "f1." + kind) for kind in ("sst", "2wst", "fot"))
 assert "numpy" not in sys.modules, "import"
 assert "omegatrans.fixtures" not in sys.modules, "import"
+assert "argparse" not in sys.modules, "import"
 
 
 def run(argv):
@@ -360,3 +364,46 @@ def test_behavior_checks_the_letters_of_the_continuation(capsys):
     assert captured.out == ""
     assert captured.err == "error: letter 'x' is not in the machine's alphabet\n"
     assert main(["behavior", F1_2WST, "ab", "--continuation", "#(a)^w"]) == 0
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """main with no parser built yet; the count of build_parser calls."""
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    return calls
+
+
+def test_main_builds_the_parser_once(fresh_parser, capsys):
+    assert main(["check-1bounded", F1_SST]) == 0
+    assert main(["check-aperiodic", F1_SST]) == 0
+    assert capsys.readouterr().out == "1-bounded\naperiodic\n"
+    assert len(fresh_parser) == 1
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_an_option_of_one_call_is_not_kept_by_the_next(fresh_parser, capsys):
+    assert main(["run", "-k", "8", F1_SST, "(a)^w"]) == 0
+    assert main(["run", F1_SST, "(a)^w"]) == 0
+    assert capsys.readouterr().out == "a" * 8 + "\n" + "a" * 40 + "\n"
+    assert main(["check-aperiodic", SETTLING_DMA, "--cap", "1"]) == 3
+    assert main(["check-aperiodic", SETTLING_DMA]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "not aperiodic (witness: a)\n"
+    assert captured.err == "error: monoid exceeded 1 elements\n"
+    assert len(fresh_parser) == 1
+
+
+def test_a_usage_error_leaves_the_parser_usable(fresh_parser, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-verb", F1_SST])
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-such-verb'" in capsys.readouterr().err
+    assert main(["run", "-k", "5", F1_SST, "ab#(a)^w"]) == 0
+    assert capsys.readouterr().out == "baab#\n"
+    assert len(fresh_parser) == 1

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from omegatrans.cli import main
-from omegatrans.constructions import eliminate_lookaround, twowst_to_sst_sf
+from omegatrans.constructions import eliminate_lookaround, run_model, twowst_to_sst_sf
 from omegatrans.fixtures import (
     alternating_copier_twowst,
     last_letter_dma,
@@ -25,7 +25,9 @@ from omegatrans.formats import (
     print_machine,
     printable_machine,
 )
-from omegatrans.sst import Sst
+from omegatrans.muller import Dma
+from omegatrans.sst import NotInDomain, Sst
+from omegatrans.twowst import Dfa, TwoWst
 
 MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
 
@@ -77,6 +79,52 @@ def test_renaming_gives_plain_tokens():
     elim = eliminate_lookaround(twowst_to_sst_sf(mirror_twowst()))
     text = print_machine(elim)
     assert text.startswith("kind: sst\nstates: s0 s1 s2 s3 s4\n")
+
+
+def _tupled(t):
+    """t with every state s of its look-around automata renamed (s, 0), in
+    the automata and in the guards of t's rows."""
+    def tup(a):
+        if a is None:
+            return None
+        parts = ([(q, 0) for q in a.states], a.alphabet, (a.initial, 0),
+                 {((q, 0), x): (q2, 0) for (q, x), q2 in a.delta.items()})
+        if isinstance(a, Dfa):
+            return Dfa(*parts)
+        return Dma(*parts, [frozenset((q, 0) for q in P) for P in a.muller_sets])
+
+    def guard(p):
+        return None if p is None else (p, 0)
+
+    return TwoWst(t.states, t.alphabet, t.initial,
+                  {(q, guard(b), a, guard(p)): row for (q, b, a, p), row in t.delta.items()},
+                  t.muller_sets, lookahead=tup(t.lookahead), lookbehind=tup(t.lookbehind))
+
+
+def _outcome(m, word):
+    try:
+        return run_model(m, word, 20)
+    except NotInDomain as exc:
+        return "rejected: %s" % exc
+
+
+@pytest.mark.parametrize("name", ["f1.2wst", "behind.2wst"])
+def test_look_around_automata_with_structured_states_print_and_run(name):
+    """printable_machine renames the states of the embedded look-around
+    automata and the guards that name them, on the two-way machine and on
+    its conversion; printed and parsed back, both run like the original on
+    the corpus."""
+    source = parse_machine(MACHINES / name)
+    tupled = _tupled(source)
+    assert any(isinstance(g, tuple) for k in tupled.delta for g in (k[1], k[3]))
+    corpus = parse_corpus(MACHINES / "corpus.txt")
+    for original, m in ((source, tupled), (twowst_to_sst_sf(source), twowst_to_sst_sf(tupled))):
+        text = print_machine(m)
+        back = parse_machine_text(text)
+        assert print_machine(back) == text
+        assert type(back) is type(original)
+        for w in corpus:
+            assert _outcome(back, w) == _outcome(original, w), (type(m).__name__, w)
 
 
 def test_shipped_corpus_matches_its_generator():
