@@ -27,6 +27,12 @@ one unsaturated flow matrix of the factor.  The output-structure queries
 of module outputgraph (`useful`, `path_conditions`) need no counts: a
 count is at least 1 exactly when its target is in a reach set, and
 FlowCache answers them from reach sets and column tables of the run.
+path_conditions has two cases: for j <= i it reads the reach set of
+(y, j) at column i against the successors of x in the meeting table C_i,
+and for i < j the reach set of (x, i) at column j against the
+predecessors of y in C_j.  Reach rows and tables fold onto the run's
+cycle, which is exact because the run repeats it, so a query costs the
+same at any column.
 The matrix view (`rows`, `entry`) pairs each count with the coordinate
 tuple of the state run, as the entry algebra of module muller describes
 it.
@@ -527,42 +533,103 @@ class FlowCache:
 
     reach_set(x, i, k) is the set of variables whose column-k content holds
     a copy of x's column-i content; an exact flow count is at least 1
-    exactly when its target is in that set.  useful(x, i) and order(k,
-    horizon) read the two column tables of path_conditions, each built once
-    per cache and horizon by _backward_fixpoint.  Everything is built
-    iteratively, so columns any distance apart are fine, and a query is a
-    few set lookups.
+    exactly when its target is in that set.  useful(x, i) and sides(k,
+    horizon) read the two column tables of path_conditions, U_k and C_k,
+    each built once per cache and horizon by _backward_fixpoint; sides
+    splits C_k by the first and by the second variable of its pairs, once
+    per column and horizon.
+
+    A reach row, the sets of one (x, i) at columns i, i + 1, ..., grows
+    only as far as a query needs.  From the entry column on, the step out of
+    a column depends on it only through its phase (column - entry) mod
+    cycle_cols, because the state run and the word both repeat with that
+    cycle.  So once a row meets a (reach set, phase) pair a second time, it
+    repeats the sets between the two forever: it stops growing there, and
+    later columns are read by folding onto that loop, as words.lasso does
+    for states.  The fold is exact, and a row holds at most entry +
+    cycle_cols · 2^|X| sets whatever the column asked for.  The useful
+    table repeats with the cycle from max(entry, settle + 1) on, and so
+    does C from the entry on when there is no horizon; with one, C is a
+    list up to the horizon, built once.  So a query's time and memory do
+    not depend on how far apart or how far out its columns are.
     """
 
     def __init__(self, t, word):
         self.t = t
         self.analysis = analyze_run(t, word)
         self._reach = {}
+        self._seen = {}
+        self._loops = {}
         self._useful = None
         self._order = {}
+        self._sides = {}
 
     def reach_set(self, x, i, k):
-        """Variables holding a copy of x's column-i content at column k >= i."""
+        """Variables holding a copy of x's column-i content at column k >= i >= 0."""
+        if not 0 <= i <= k:
+            raise ValueError("reach_set needs 0 <= i <= k, got i = %d, k = %d" % (i, k))
+        n = k - i
         row = self._reach.get((x, i))
-        if row is None:
-            row = self._reach[(x, i)] = [frozenset([x])]
-        while len(row) <= k - i:
-            subst = self.analysis.update_at(i + len(row))
-            row.append(_step_vars(self.t, subst, row[-1]))
-        return row[k - i]
+        if row is None or n >= len(row):
+            row, n = self._grow(x, i, n)
+        return row[n]
+
+    def _grow(self, x, i, n):
+        """The reach row of (x, i), grown until it covers index n or repeats,
+        and n folded onto its loop when the row stopped before n."""
+        key = (x, i)
+        loop = self._loops.get(key)
+        if loop is None:
+            row = self._reach.setdefault(key, [frozenset([x])])
+            seen = self._seen.setdefault(key, {})
+            ana = self.analysis
+            entry, cycle = ana.entry_col, ana.cycle_cols
+            while len(row) <= n:
+                col = i + len(row) - 1
+                if col >= entry:
+                    first = seen.setdefault((row[-1], (col - entry) % cycle), len(row) - 1)
+                    if first < len(row) - 1:
+                        row.pop()
+                        loop = self._loops[key] = (first, len(row) - first)
+                        del self._seen[key]
+                        break
+                row.append(_step_vars(self.t, ana.update_at(col + 1), row[-1]))
+            else:
+                return row, n
+        first, period = loop
+        return self._reach[key], first + (n - first) % period
 
     def useful(self, x, i):
         if self._useful is None:
             self._useful = _useful_table(self.analysis)
         return x in self._useful(i)
 
-    def order(self, k, horizon):
-        """Pairs (u, v) whose column-k contents meet in one right-hand side,
-        u strictly first, at a step up to the horizon (None: any step)."""
-        table = self._order.get(horizon)
-        if table is None:
-            table = self._order[horizon] = _order_table(self.analysis, horizon)
-        return table(k)
+    def sides(self, k, horizon):
+        """(After_k, Before_k) as dicts: After_k[u] holds the v and
+        Before_k[v] the u of the pairs (u, v) of C_k, the pairs whose
+        column-k contents meet in one right-hand side, u strictly first, at
+        a step up to the horizon (None: any step).
+
+        C_k is empty from the horizon on, and repeats with the cycle from
+        the entry column on when there is no horizon, so k is folded first.
+        """
+        if horizon is None:
+            entry = self.analysis.entry_col
+            if k > entry:
+                k = entry + (k - entry) % self.analysis.cycle_cols
+        elif k > horizon:
+            k = horizon
+        split = self._sides.get((k, horizon))
+        if split is None:
+            table = self._order.get(horizon)
+            if table is None:
+                table = self._order[horizon] = _order_table(self.analysis, horizon)
+            after, before = {}, {}
+            for u, v in table(k):
+                after.setdefault(u, set()).add(v)
+                before.setdefault(v, set()).add(u)
+            split = self._sides[(k, horizon)] = (after, before)
+        return split
 
 
 def _step_vars(t, subst, sources):
@@ -684,15 +751,26 @@ def useful(t, word, x, i, analysis=None):
 def path_conditions(t, word, x, i, d, y, j, d2, horizon=None, cache=None):
     """Reachability from (x, i, d) to (y, j, d2) in the run's output structure.
 
-    Decided from flows instead of the graph: both columns must be useful,
-    and one of three situations must hold.  Descending from an in node:
-    y's column-j content sits inside x's column-i content, that is x is in
-    reach_set(y, j, i).  Arriving at an out node: y is in reach_set(x, i, j).
-    Or both contents flow into one right-hand side at some later step, x's
-    carrier strictly first: with m = max(i, j), some u in reach_set(x, i, m)
-    and v in reach_set(y, j, m) have (u, v) in C_m.  That later step is only
-    searched up to the horizon when one is given (matching a truncated
-    graph), and over the whole run otherwise.
+    Decided from flows instead of the graph.  Both columns must be useful
+    (checked last: the nodes of an output graph all are, and most pairs of
+    them are not linked), and, with R(x, i, k) = reach_set(x, i, k), the
+    pair must be linked in one of two cases:
+
+    - j <= i: d == "in" and x in R(y, j, i), that is y's column-j content
+      sits inside x's column-i content; or d2 == "out" and (x, i) == (y, j);
+      or R(y, j, i) meets After_i(x).
+    - i < j: d2 == "out" and y in R(x, i, j), that is x's column-i content
+      ends up inside y's column-j content; or R(x, i, j) meets Before_j(y).
+
+    After_m(u) = {v : (u, v) in C_m} and Before_m(v) = {u : (u, v) in C_m},
+    split once per column and horizon by FlowCache.sides.  The meeting
+    clause is the general one, some u in R(x, i, m) and v in R(y, j, m) with
+    (u, v) in C_m for m = max(i, j): both contents flow into one right-hand
+    side at some later step, x's carrier strictly first.  Since R(x, i, i)
+    is {x}, one side of the pair is fixed, and a query needs one reach set.
+    The later step is only searched up to the horizon when one is given
+    (matching a truncated graph), and over the whole run otherwise.  Raises
+    ValueError for a side other than "in" or "out", or a negative column.
 
     C_k is the set of variable pairs (u, v) whose column-k contents meet in
     one right-hand side, u strictly first, at a step up to the horizon.  The
@@ -713,18 +791,22 @@ def path_conditions(t, word, x, i, d, y, j, d2, horizon=None, cache=None):
     which _backward_fixpoint computes.  A forward scan from (x, i) and
     (y, j) could stop for the same reason: its states (phase, reach of x,
     reach of y) are finite, and "some later step" is their least fixpoint.
+    The reach rows, the useful sets and, without a horizon, C all fold onto
+    the run's cycle (FlowCache), so a query costs the same however far
+    apart, or however far out, its columns are.
     """
+    if d not in ("in", "out") or d2 not in ("in", "out"):
+        raise ValueError("sides must be 'in' or 'out', got %r and %r" % (d, d2))
     fc = cache if cache is not None else FlowCache(t, word)
     ana = fc.analysis
     if not ana.in_domain:
         raise NotInDomain(ana.infinity)
-    if not (fc.useful(x, i) and fc.useful(y, j)):
-        return False
-    if d == "in" and j <= i and x in fc.reach_set(y, j, i):
-        return True
-    if d2 == "out" and i <= j and y in fc.reach_set(x, i, j):
-        return True
-    m = max(i, j)
-    order = fc.order(m, horizon)
-    vy = fc.reach_set(y, j, m)
-    return any((u, v) in order for u in fc.reach_set(x, i, m) for v in vy)
+    if j <= i:
+        reach = fc.reach_set(y, j, i)
+        linked = (d == "in" and x in reach or d2 == "out" and (x, i) == (y, j)
+                  or not reach.isdisjoint(fc.sides(i, horizon)[0].get(x, ())))
+    else:
+        reach = fc.reach_set(x, i, j)
+        linked = (d2 == "out" and y in reach
+                  or not reach.isdisjoint(fc.sides(j, horizon)[1].get(y, ())))
+    return linked and fc.useful(x, i) and fc.useful(y, j)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -423,6 +424,85 @@ def test_long_spans_need_no_recursion():
         for y in t.variables:
             e = direct.entry((t.initial, x), (end, y))
             assert flows(t, w, 0, 3000, x, y) == (0 if e is BOT else e[0]), (x, y)
+
+
+def test_a_query_at_column_ten_to_the_nine_reads_its_folded_column():
+    t = mirror_sst()
+    w = UPWord("ab#", "a")
+    nodes = [(x, d) for x in t.variables for d in ("in", "out")]
+    # column 10^6 first: reach rows that grew column by column would fail
+    # its time budget after a few hundred MB, before column 10^9 is asked for
+    for far in (10 ** 6, 10 ** 9):
+        start = time.perf_counter()
+        fc = FlowCache(t, w)
+        ana = fc.analysis
+        base = max(ana.entry_col, ana.settle_col + 1)
+        folded = base + (far - base) % ana.cycle_cols
+        assert path_conditions(t, w, "z", 5, "in", "z", far, "out", cache=fc)
+        assert not path_conditions(t, w, "z", far, "out", "z", 5, "in", cache=fc)
+        assert time.perf_counter() - start < 1.0, far
+        # every reach row of this run repeats column by column from the
+        # entry on, and the useful sets from base on, so the far column
+        # reads like its folded column from any column before base
+        for i in range(base):
+            for (x, d), (y, d2) in itertools.product(nodes, repeat=2):
+                for u, v in (((x, i, d), (y, far, d2)), ((y, far, d2), (x, i, d))):
+                    fold = [folded if c == far else c for c in u + v]
+                    assert (path_conditions(t, w, *u, *v, cache=fc)
+                            == path_conditions(t, w, *fold, cache=fc)), (u, v)
+
+
+def test_reach_rows_fold_onto_loops_longer_than_the_cycle():
+    # x and y trade places on every letter, so a reach row alternates
+    # between them: its loop is two columns long, the run's cycle one
+    swap = {("q", "a"): {"o": parse_rhs("oa", "oxy"), "x": parse_rhs("y", "oxy"),
+                         "y": parse_rhs("x", "oxy")}}
+    t = Sst("q", "a", "q", {("q", "a"): "q"}, "oxy", swap, {frozenset("q"): ("o",)})
+    fc = FlowCache(t, UPWord("", "a"))
+    assert fc.analysis.cycle_cols == 1
+    for i in (0, 3):
+        for k in list(range(i, i + 6)) + [10 ** 4, 10 ** 4 + 1]:
+            assert fc.reach_set("x", i, k) == {"xy"[(k - i) % 2]}, (i, k)
+
+
+def test_shifting_both_columns_by_whole_cycles_keeps_the_answer():
+    rng = random.Random(8)
+    cases = []
+    while len(cases) < 60:
+        t = random_copyless_sst(rng)
+        cases += [(t, w) for w in domain_words(t, rng, 2, max_prefix=3, max_period=3)]
+    for t, w in cases:
+        fc = FlowCache(t, w)
+        ana = fc.analysis
+        base = max(ana.entry_col, ana.settle_col + 1)
+        cols = range(base, base + ana.cycle_cols + 1)
+        nodes = [(x, d) for x in t.variables for d in ("in", "out")]
+        for i, j in itertools.product(cols, repeat=2):
+            for (x, d), (y, d2) in itertools.product(nodes, repeat=2):
+                want = path_conditions(t, w, x, i, d, y, j, d2, cache=fc)
+                for times in (1, 3, 10 ** 6):
+                    s = times * ana.cycle_cols
+                    got = path_conditions(t, w, x, i + s, d, y, j + s, d2, cache=fc)
+                    assert got == want, (x, i, d, y, j, d2, s, w)
+
+
+def test_reach_sets_and_path_conditions_reject_bad_arguments():
+    t = mirror_sst()
+    w = UPWord("ab#", "a")
+    fc = FlowCache(t, w)
+    assert fc.reach_set("z", 5, 9) == {"z"}
+    for i, k in ((5, 1), (-1, 3)):
+        with pytest.raises(ValueError):
+            fc.reach_set("z", i, k)
+    for i, j in ((-1, -3), (2, -1), (-1, 2)):
+        with pytest.raises(ValueError):
+            path_conditions(t, w, "z", i, "in", "z", j, "in", cache=fc)
+    assert path_conditions(t, w, "z", 6, "in", "z", 5, "out", cache=fc)
+    for side in ("IN", "bogus"):
+        with pytest.raises(ValueError):
+            path_conditions(t, w, "z", 6, side, "z", 5, "out", cache=fc)
+        with pytest.raises(ValueError):
+            path_conditions(t, w, "z", 5, "out", "z", 6, side, cache=fc)
 
 
 def _forward_step(t, subst, cur):
