@@ -31,11 +31,11 @@ from collections import deque, namedtuple
 
 from .fot import Fot, run_fot
 from .muller import explore
-from .sst import (PAD, NotInDomain, Sst, check_length, check_output_shape, run_output,
+from .sst import (NotInDomain, Sst, check_length, check_output_shape, run_output,
                   stream_output, streaming_fields)
 from .twowst import (LEFT, MARK, RIGHT, TwoWst, _WordContext, guarded_row, guarded_rows,
                      run_2wst)
-from .words import UPWord, first_divergence, lasso
+from .words import PAD, UPWord, first_divergence, lasso
 
 
 class SstSf:

@@ -285,24 +285,26 @@ def _parse_fot(kind, fields, sections):
     if not copies_text.isdigit() or int(copies_text) < 1:
         _fail(lineno, "copies must be a positive count, got %r" % copies_text)
     copies = tuple(range(1, int(copies_text) + 1))
-    lineno, dom_text = _one(fields, "dom")
-    labels = {}
-    for lineno, rest in fields.get("pos", []):
+    dom_line, dom_text = _one(fields, "dom")
+    labels = _formula_table(fields, "pos", "c,g", _letter)
+    order = _formula_table(fields, "ord", "c,d", _copy_number)
+    return Fot(alphabet, copies, _parse_formula_at(dom_text, dom_line), labels, order)
+
+
+def _formula_table(fields, name, shape, second):
+    """The `name: c,z: formula` lines as {(c, z): formula}, z read by second;
+    a repeated key is an error at its line."""
+    table = {}
+    for lineno, rest in fields.get(name, []):
         head, _, body = rest.partition(":")
         parts = head.split(",")
         if len(parts) != 2 or not body:
-            _fail(lineno, "expected 'c,g: formula', got %r" % rest)
-        key = (_copy_number(parts[0], lineno), _letter(parts[1], lineno))
-        labels[key] = _parse_formula_at(body, lineno)
-    order = {}
-    for lineno, rest in fields.get("ord", []):
-        head, _, body = rest.partition(":")
-        parts = head.split(",")
-        if len(parts) != 2 or not body:
-            _fail(lineno, "expected 'c,d: formula', got %r" % rest)
-        key = (_copy_number(parts[0], lineno), _copy_number(parts[1], lineno))
-        order[key] = _parse_formula_at(body, lineno)
-    return Fot(alphabet, copies, _parse_formula_at(dom_text, lineno), labels, order)
+            _fail(lineno, "expected '%s: formula', got %r" % (shape, rest))
+        key = (_copy_number(parts[0], lineno), second(parts[1], lineno))
+        if key in table:
+            _fail(lineno, "duplicate %s line for %r" % (name, key))
+        table[key] = _parse_formula_at(body, lineno)
+    return table
 
 
 def _parse_formula_at(text, lineno):

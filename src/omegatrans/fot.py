@@ -25,7 +25,7 @@ G+1..G+q.  The shift argument of ``fologic`` gives three facts:
     y > max(x, p) + c q, and likewise with the roles of x and y swapped.
 
 If m = 0 no node lies past G, and Kahn's algorithm runs on a finite
-graph; the output is finite and padded with ``sst.PAD``.  Otherwise:
+graph; the output is finite and padded with ``words.PAD``.  Otherwise:
 
 1. In-edges.  If the output is string-shaped, every edge into a node n
    starts at most c q past max(n, p): an edge from farther repeats by (P)
@@ -78,7 +78,8 @@ parsing and printing a machine do not load it.
 """
 
 from .fologic import bulk_evaluate, evaluate, free_variables, plan
-from .sst import PAD, NotInDomain, check_length
+from .sst import NotInDomain, check_length
+from .words import spell
 
 
 class Fot:
@@ -250,7 +251,7 @@ def run_fot(t, word, k):
     """The first k output letters of the transducer on the word.
 
     The output is exact: ``_output_lasso`` describes it once per word, and
-    the k letters are sliced off, padded with ``sst.PAD`` when the output
+    the k letters are sliced off, padded with ``words.PAD`` when the output
     is finite.  Raises NotInDomain if the domain sentence fails, and
     ValueError for k < 0, or if the output is not string-shaped or a
     position carries two labels of one copy.
@@ -260,8 +261,4 @@ def run_fot(t, word, k):
         raise NotInDomain(frozenset(), "rejected: the domain sentence is false")
     if k == 0:
         return ""
-    prefix, block = _output_lasso(t, word)
-    if not block:
-        return prefix[:k].ljust(k, PAD)
-    reps = max(0, k - len(prefix)) // len(block) + 1
-    return (prefix + block * reps)[:k]
+    return spell(*_output_lasso(t, word), k)

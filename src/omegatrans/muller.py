@@ -282,14 +282,6 @@ class Dma:
     def step(self, q, a):
         return self.delta[(q, a)]
 
-    def run_factor(self, q, factor):
-        """(end state, set of states of the run, endpoints included)."""
-        seen = {q}
-        for a in factor:
-            q = self.delta[(q, a)]
-            seen.add(q)
-        return q, seen
-
     def accepts(self, word, start=None):
         """Muller acceptance on an ultimately periodic word."""
         states, entry, _ = lasso(
@@ -299,6 +291,16 @@ class Dma:
             len(word.period),
         )
         return frozenset(states[entry:]) in set(self.muller_sets)
+
+
+def run_factor(delta, q, factor):
+    """(end state, set of states of the run, endpoints included) of a
+    deterministic transition table delta from state q on a finite factor."""
+    seen = {q}
+    for a in factor:
+        q = delta[(q, a)]
+        seen.add(q)
+    return q, seen
 
 
 def matrix_of_word(dma, factor):
@@ -313,7 +315,7 @@ def matrix_of_word_direct(dma, factor):
     """Same matrix computed from concrete runs; oracle for the product."""
     runs = []
     for p in dma.states:
-        q, seen = dma.run_factor(p, factor)
+        q, seen = run_factor(dma.delta, p, factor)
         runs.append((q, seen if factor else (), ()))
     return SummarySpace(dma.states, dma.muller_sets).element(runs)
 

@@ -30,9 +30,9 @@ FlowCache answers them from reach sets and column tables of the run.
 path_conditions has two cases: for j <= i it reads the reach set of
 (y, j) at column i against the successors of x in the meeting table C_i,
 and for i < j the reach set of (x, i) at column j against the
-predecessors of y in C_j.  Reach rows and tables fold onto the run's
-cycle, which is exact because the run repeats it, so a query costs the
-same at any column.
+predecessors of y in C_j.  Each reach row is the words.lasso of a reach
+set's run, and rows and tables are read through words.fold, which is exact
+because the run repeats its cycle, so a query costs the same at any column.
 The matrix view (`rows`, `entry`) pairs each count with the coordinate
 tuple of the state run, as the entry algebra of module muller describes
 it.
@@ -46,11 +46,9 @@ from .muller import (
     check_total,
     explore,
     generate_monoid,
+    run_factor,
 )
-from .words import lasso
-
-
-PAD = "⊥"
+from .words import PAD, fold, lasso, spell  # PAD is re-exported as sst.PAD
 
 
 def check_length(k):
@@ -249,14 +247,6 @@ class Sst:
             self.states, self.delta, variables, update, F
         )
 
-    def run_factor(self, q, factor):
-        """(end state, set of states of the run, endpoints included)."""
-        seen = {q}
-        for a in factor:
-            q = self.delta[(q, a)]
-            seen.add(q)
-        return q, seen
-
 
 class RunAnalysis:
     """Lasso data for a machine's unique state run on an ultimately periodic word.
@@ -289,10 +279,8 @@ class RunAnalysis:
             self.settle_col = lp - (lp - col) // plen * plen
 
     def state_at(self, col):
-        if col < len(self._cols):
-            return self._cols[col]
-        folded = self.entry_col + (col - self.entry_col) % self.cycle_cols
-        return self._cols[folded]
+        """State at column col >= 0; IndexError for a negative column."""
+        return self._cols[fold(col, self.entry_col, self.cycle_cols)]
 
     def update_at(self, col):
         """Substitution applied when reading letter number col (col >= 1)."""
@@ -366,7 +354,7 @@ def stream_output(substs, entry, out_vars, k):
     step = {x: sigma[x] for x in read}
     vals = {x: vals[x] for x in read}
     saved, mark, loops = vals, 1, 0
-    block = None
+    block = ""
     while size < k:
         pieces.append(apply_subst({tail: rest}, vals)[tail])
         size += len(pieces[-1])
@@ -377,10 +365,7 @@ def stream_output(substs, entry, out_vars, k):
             break
         if loops & (loops - 1) == 0:
             saved, mark = vals, len(pieces)
-    out = "".join(pieces)
-    if block:
-        out += block * -(-(k - len(out)) // len(block))
-    return out[:k].ljust(k, PAD)
+    return spell("".join(pieces), block, k)
 
 
 def run_output(t, word, k):
@@ -438,7 +423,7 @@ def flow_matrix_direct(t, factor, saturate=True):
     """Same matrix from composed substitutions and concrete runs; the oracle."""
     runs = []
     for p in t.states:
-        q, seen = t.run_factor(p, factor)
+        q, seen = run_factor(t.delta, p, factor)
         comb = identity_subst(t.variables)
         state = p
         for a in factor:
@@ -539,27 +524,24 @@ class FlowCache:
     splits C_k by the first and by the second variable of its pairs, once
     per column and horizon.
 
-    A reach row, the sets of one (x, i) at columns i, i + 1, ..., grows
-    only as far as a query needs.  From the entry column on, the step out of
-    a column depends on it only through its phase (column - entry) mod
-    cycle_cols, because the state run and the word both repeat with that
-    cycle.  So once a row meets a (reach set, phase) pair a second time, it
-    repeats the sets between the two forever: it stops growing there, and
-    later columns are read by folding onto that loop, as words.lasso does
-    for states.  The fold is exact, and a row holds at most entry +
-    cycle_cols · 2^|X| sets whatever the column asked for.  The useful
-    table repeats with the cycle from max(entry, settle + 1) on, and so
-    does C from the entry on when there is no horizon; with one, C is a
-    list up to the horizon, built once.  So a query's time and memory do
-    not depend on how far apart or how far out its columns are.
+    A reach row, the sets of one (x, i) at columns i, i + 1, ..., is a
+    words.lasso, built once per (x, i).  From the entry column on, the step
+    out of a column depends on it only through its phase (column - entry)
+    mod cycle_cols, because the state run and the word both repeat with
+    that cycle.  So the row repeats from its first repeated (reach set,
+    phase) pair on, and later columns are read through words.fold.  The
+    fold is exact, and a row holds at most entry + cycle_cols · 2^|X| sets
+    whatever the column asked for.  The useful table repeats with the cycle
+    from max(entry, settle + 1) on, and so does C from the entry on when
+    there is no horizon; with one, C is a list up to the horizon, built
+    once.  So a query's time and memory do not depend on how far apart or
+    how far out its columns are.
     """
 
     def __init__(self, t, word):
         self.t = t
         self.analysis = analyze_run(t, word)
         self._reach = {}
-        self._seen = {}
-        self._loops = {}
         self._useful = None
         self._order = {}
         self._sides = {}
@@ -568,36 +550,15 @@ class FlowCache:
         """Variables holding a copy of x's column-i content at column k >= i >= 0."""
         if not 0 <= i <= k:
             raise ValueError("reach_set needs 0 <= i <= k, got i = %d, k = %d" % (i, k))
-        n = k - i
         row = self._reach.get((x, i))
-        if row is None or n >= len(row):
-            row, n = self._grow(x, i, n)
-        return row[n]
-
-    def _grow(self, x, i, n):
-        """The reach row of (x, i), grown until it covers index n or repeats,
-        and n folded onto its loop when the row stopped before n."""
-        key = (x, i)
-        loop = self._loops.get(key)
-        if loop is None:
-            row = self._reach.setdefault(key, [frozenset([x])])
-            seen = self._seen.setdefault(key, {})
+        if row is None:
             ana = self.analysis
-            entry, cycle = ana.entry_col, ana.cycle_cols
-            while len(row) <= n:
-                col = i + len(row) - 1
-                if col >= entry:
-                    first = seen.setdefault((row[-1], (col - entry) % cycle), len(row) - 1)
-                    if first < len(row) - 1:
-                        row.pop()
-                        loop = self._loops[key] = (first, len(row) - first)
-                        del self._seen[key]
-                        break
-                row.append(_step_vars(self.t, ana.update_at(col + 1), row[-1]))
-            else:
-                return row, n
-        first, period = loop
-        return self._reach[key], first + (n - first) % period
+            row = self._reach[(x, i)] = lasso(
+                frozenset([x]),
+                lambda sources, n: _step_vars(self.t, ana.update_at(i + n + 1), sources),
+                max(ana.entry_col - i, 0), ana.cycle_cols)
+        values, entry, cycle = row
+        return values[fold(k - i, entry, cycle)]
 
     def useful(self, x, i):
         if self._useful is None:
@@ -614,9 +575,7 @@ class FlowCache:
         the entry column on when there is no horizon, so k is folded first.
         """
         if horizon is None:
-            entry = self.analysis.entry_col
-            if k > entry:
-                k = entry + (k - entry) % self.analysis.cycle_cols
+            k = fold(k, self.analysis.entry_col, self.analysis.cycle_cols)
         elif k > horizon:
             k = horizon
         split = self._sides.get((k, horizon))
@@ -644,14 +603,16 @@ def _backward_fixpoint(ana, base, pre, start, stop):
     """The least column sets T_k = base(k) ∪ pre(k + 1, T_{k+1}), as a lookup.
 
     pre(c, S) is the part of column c - 1 that the step into column c sends
-    into S, and both it and base are monotone.  With a stop column, T_k = ∅ from stop on and the
-    columns below are filled back to front.  Without one, base(k) and
-    pre(k + 1, ·) must depend on k >= start only through the phase
-    (k - start) mod cycle_cols.  The phases are then iterated from ∅ until a
-    whole pass changes nothing: every value stays below the least solution
-    (monotone steps from ∅), and a pass without change is a solution, so
-    the result is the least one.  The sets are finite, so this stops.  The
-    columns below start are then filled back to front from phase 0.
+    into S, and both it and base are monotone.  The table is a lasso, the
+    columns below start and then a cycle of phases, read through
+    words.fold.  With a stop column, start is the stop and the cycle is the
+    one value ∅.  Without one, base(k) and pre(k + 1, ·) must depend on
+    k >= start only through the phase (k - start) mod cycle_cols.  The
+    phases are then iterated from ∅ until a whole pass changes nothing:
+    every value stays below the least solution (monotone steps from ∅), and
+    a pass without change is a solution, so the result is the least one.
+    The sets are finite, so this stops.  Either way, the columns below start
+    are then filled back to front from phase 0.
     """
     if stop is None:
         period = ana.cycle_cols
@@ -663,21 +624,17 @@ def _backward_fixpoint(ana, base, pre, start, stop):
                 new = base(start + p) | pre(start + p + 1, cycle[(p + 1) % period])
                 if new != cycle[p]:
                     cycle[p], changed = new, True
-        later = cycle[0]
     else:
-        start, cycle, later = max(stop, 0), None, frozenset()
-    head = [None] * start
+        start, period, cycle = max(stop, 0), 1, [frozenset()]
+    values = [None] * start + cycle
+    later = cycle[0]
     for k in reversed(range(start)):
-        later = head[k] = base(k) | pre(k + 1, later)
+        later = values[k] = base(k) | pre(k + 1, later)
 
     def at(k):
         if k < 0:
             raise ValueError("column must be >= 0")
-        if k < start:
-            return head[k]
-        if cycle is None:
-            return frozenset()
-        return cycle[(k - start) % len(cycle)]
+        return values[fold(k, start, period)]
 
     return at
 

@@ -30,9 +30,10 @@ from .muller import (
     identity_matrix,
     matrix_of_word,
     run_coordinate,
+    run_factor,
 )
-from .sst import PAD, NotInDomain, check_length
-from .words import UPWord, lasso
+from .sst import NotInDomain, check_length
+from .words import UPWord, fold, lasso, spell
 
 MARK = "⊢"
 LEFT, STAY, RIGHT = -1, 0, 1
@@ -52,10 +53,7 @@ class Dfa:
         return self.delta[(q, a)]
 
     def run(self, factor, start=None):
-        q = self.initial if start is None else start
-        for a in factor:
-            q = self.delta[(q, a)]
-        return q
+        return run_factor(self.delta, self.initial if start is None else start, factor)[0]
 
 
 class TwoWst:
@@ -164,10 +162,7 @@ class _WordContext:
         return MARK if pos == 0 else self.word.letter_at(pos)
 
     def b_state(self, pos):
-        if pos < len(self._bs):
-            return self._bs[pos]
-        folded = self.entry_pos + (pos - self.entry_pos) % self.cycle_len
-        return self._bs[folded]
+        return self._bs[fold(pos, self.entry_pos, self.cycle_len)]
 
     def ahead_ok(self, pos, p):
         w = self.word.suffix(pos)
@@ -262,10 +257,7 @@ def run_2wst(t, word, k):
             "rejected: states visited forever {%s} are not accepting"
             % ",".join(sorted(map(str, loop_states))),
         )
-    out, loop_out = "".join(outs[:loop]), "".join(outs[loop:])
-    if loop_out:
-        out += loop_out * -(-(k - len(out)) // len(loop_out))
-    return out[:k].ljust(k, PAD)
+    return spell("".join(outs[:loop]), "".join(outs[loop:]), k)
 
 
 def reaches(t, word, q, x, q2, y):
@@ -460,7 +452,7 @@ def element_of_word(t, factor):
             def step(q, pos):
                 return guarded_row(
                     t._by_qa, q, factor[pos - 1], bs[pos],
-                    lambda p: t.lookahead.run_factor(p, factor[pos:])[0] in c,
+                    lambda p: run_factor(t.lookahead.delta, p, factor[pos:])[0] in c,
                 )
 
             runs = {side: [None] * len(t.states) for side in SIDES}

@@ -11,9 +11,14 @@ infinite words themselves:
 
 Positions are 1-based throughout: position i carries the i-th letter.
 Columns count letters read: column 0 is before the first letter, column i
-after the i-th.  Every deterministic run on such a word is a lasso, and
-lasso() finds it for all the runners.
+after the i-th.  Every deterministic run on such a word is a lasso, and this
+module is the one place that handles lassos: lasso() finds the run's lasso
+for all the runners, fold() reads a column of it, and spell() writes out
+the first k letters of an output given as head . block^omega.
 """
+
+
+PAD = "⊥"
 
 
 class UPWord:
@@ -57,12 +62,10 @@ class UPWord:
         return self.period[(i - len(self.prefix) - 1) % len(self.period)]
 
     def prefix_of(self, n):
-        """The first n letters as a plain string."""
-        if n <= len(self.prefix):
-            return self.prefix[:n]
-        rest = n - len(self.prefix)
-        reps = rest // len(self.period) + 1
-        return self.prefix + (self.period * reps)[:rest]
+        """The first n >= 0 letters as a plain string."""
+        if n < 0:
+            raise IndexError("cannot take a negative number of letters")
+        return spell(self.prefix, self.period, n)
 
     def suffix(self, j):
         """The word with the first j letters removed (j >= 0)."""
@@ -112,6 +115,27 @@ def lasso(start, step, stable, period):
         value = step(value, col)
         values.append(value)
         col += 1
+
+
+def fold(col, entry, cycle):
+    """Index into lasso's values of the run's value at column col >= 0.
+
+    Columns below entry are their own index; from entry on the run repeats
+    with the cycle, so col reads entry + (col - entry) mod cycle.
+    """
+    if col < entry:
+        if col < 0:
+            raise IndexError("columns are >= 0, got %d" % col)
+        return col
+    return entry + (col - entry) % cycle
+
+
+def spell(head, block, k):
+    """The first k letters of head . block^omega, or of head padded with PAD
+    when block is empty (a finite output)."""
+    if block:
+        head += block * -(-(k - len(head)) // len(block))
+    return head[:k].ljust(k, PAD)
 
 
 def first_divergence(w1, w2):

@@ -193,6 +193,22 @@ def test_copy_numbers_that_are_not_counts_are_refused_with_a_line(line):
 
 
 @pytest.mark.parametrize("line, key", [
+    ("pos: 1,a: x = x", "pos"),
+    ("ord: 2,3: x = x", "ord"),
+])
+def test_a_repeated_fot_key_is_refused_with_its_line(line, key):
+    text = (MACHINES / "f1.fot").read_text() + line + "\n"
+    with pytest.raises(FormatError, match="line %d: duplicate %s line" % (text.count("\n"), key)):
+        parse_machine_text(text)
+
+
+def test_a_bad_fot_domain_is_refused_at_its_own_line():
+    text = "kind: fot\nalphabet: a\ncopies: 1\ndom: E x. (\npos: 1,a: La(x)\nord: 1,1: x < y\n"
+    with pytest.raises(FormatError, match="line 4: bad formula"):
+        parse_machine_text(text)
+
+
+@pytest.mark.parametrize("line, key", [
     ("start: X := bb", "start"),
     ("muller: {q}", "muller"),
     ("trans: q, _, a, _ -> q, \"a\", +1", "trans"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegatrans.muller import BOT, NEUTRAL, CapExceeded, run_coordinate
+from omegatrans.muller import BOT, NEUTRAL, CapExceeded, run_coordinate, run_factor
 from omegatrans.fixtures import (
     domain_words,
     mirror_sst,
@@ -410,6 +410,13 @@ def test_path_conditions_skips_useless_columns():
     assert not path_conditions(t, w, "Z", 0, "in", "X", 1, "out")
 
 
+def test_a_negative_column_has_no_state():
+    ana = analyze_run(mirror_sst(), UPWord("ab#", "a"))
+    assert ana.state_at(0) == mirror_sst().initial
+    with pytest.raises(IndexError):
+        ana.state_at(-1)
+
+
 def test_long_spans_need_no_recursion():
     t = mirror_sst()
     w = UPWord("ab#", "a")
@@ -734,7 +741,7 @@ def coordinate_view(t, factor):
     """Destination and coordinate tuple of each state's concrete run."""
     out = {}
     for p in t.states:
-        q, seen = t.run_factor(p, factor)
+        q, seen = run_factor(t.delta, p, factor)
         if factor:
             out[p] = (q, tuple(run_coordinate(seen, m) for m in t.muller_sets))
         else:

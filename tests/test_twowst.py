@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from omegatrans.fixtures import (
     random_twowst,
     random_upword,
 )
+from omegatrans.formats import parse_corpus, parse_machine
 from omegatrans.sst import NotInDomain, run_output
 from omegatrans.twowst import (
     LEFT,
@@ -30,6 +32,8 @@ from omegatrans.twowst import (
     twowst_monoid,
 )
 from omegatrans.words import UPWord
+
+MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
 
 
 def test_lookahead_classifier():
@@ -86,6 +90,20 @@ def test_run_stuck_when_treading_in_place():
 def test_run_pads_finite_output():
     t = TwoWst("s", "a", "s", {("s", None, "a", None): ("s", "", RIGHT)}, [{"s"}])
     assert run_2wst(t, UPWord("", "a"), 4) == "⊥⊥⊥⊥"
+
+
+def test_lookbehind_states_fold_onto_the_cycle_of_their_lasso():
+    """b_state(pos) is the lookbehind run on the first pos - 1 letters, also
+    past the stored lasso, where it is read by folding."""
+    t = parse_machine(MACHINES / "behind.2wst")
+    rng = random.Random(5)
+    words = [w for w in parse_corpus(MACHINES / "corpus.txt") if "#" not in str(w)]
+    words += [random_upword(rng, "ab", 4, 3) for _ in range(30)]
+    for w in words:
+        ctx = _WordContext(t, w)
+        assert ctx.b_state(0) == t.lookbehind.initial
+        for pos in range(1, ctx.entry_pos + 3 * ctx.cycle_len + 1):
+            assert ctx.b_state(pos) == t.lookbehind.run(w.prefix_of(pos - 1)), (w, pos)
 
 
 def test_reaches_mirror():

@@ -7,8 +7,11 @@ from omegatrans.fixtures import mirror_corpus, mirror_sst, mirror_twowst, random
 from omegatrans.sst import analyze_run
 from omegatrans.twowst import _WordContext
 from omegatrans.words import (
+    PAD,
     UPWord,
+    fold,
     lasso,
+    spell,
     parse_word,
     format_word,
     first_divergence,
@@ -37,6 +40,23 @@ def test_letter_at_and_prefix_of():
     assert w.prefix_of(0) == ""
     with pytest.raises(IndexError):
         w.letter_at(0)
+
+
+def test_negative_positions_and_columns_raise():
+    w = UPWord("ab#", "a")
+    with pytest.raises(IndexError):
+        w.prefix_of(-1)
+    with pytest.raises(IndexError):
+        fold(-1, 2, 3)
+
+
+def test_spell_pads_an_empty_block_and_cuts_a_long_head():
+    assert spell("ab", "", 5) == "ab" + PAD * 3
+    assert spell("", "", 2) == PAD * 2
+    assert spell("abc", "", 2) == "ab"
+    assert spell("abc", "xy", 2) == "ab"
+    assert spell("abc", "xy", 0) == ""
+    assert spell("a", "xy", 6) == "axyxyx"
 
 
 def test_suffix_inside_prefix():
@@ -153,6 +173,28 @@ def test_lasso_entry_is_the_first_periodic_column_and_its_cycle_is_minimal():
             for c in range(stable, entry)
             for p in range(period, n * period + 1, period)
         )
+
+
+@given(st.data())
+def test_fold_reads_the_run_at_any_column(data):
+    """On a random lasso, values[fold(c, entry, cycle)] is the run stepped c
+    times, for c up to entry + 5 cycles."""
+    n = data.draw(st.integers(1, 4))
+    stable = data.draw(st.integers(0, 4))
+    period = data.draw(st.integers(1, 3))
+    table = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    head = data.draw(st.lists(table, min_size=stable, max_size=stable))
+    loop = data.draw(st.lists(table, min_size=period, max_size=period))
+
+    def step(value, col):
+        return head[col][value] if col < stable else loop[(col - stable) % period][value]
+
+    start = data.draw(st.integers(0, n - 1))
+    values, entry, cycle = lasso(start, step, stable, period)
+    value = start
+    for c in range(entry + 5 * cycle + 1):
+        assert values[fold(c, entry, cycle)] == value, c
+        value = step(value, c)
 
 
 # (word, settle_col and infinity of analyze_run(mirror_sst(), word),
