@@ -87,7 +87,7 @@ def _cmd_run(args):
 def _sample_corpus(m, count, seed):
     rng = random.Random(seed)
     alphabet = "".join(m.alphabet)
-    words = []
+    words = {}
     attempts = 60 * count
     while len(words) < count and attempts > 0:
         attempts -= 1
@@ -96,9 +96,8 @@ def _sample_corpus(m, count, seed):
             run_model(m, w, 1)
         except NotInDomain:
             continue
-        if all(w != seen for seen in words):
-            words.append(w)
-    return words
+        words[w] = None
+    return list(words)
 
 
 def _cmd_compare(args):

@@ -158,7 +158,7 @@ def _crossings(t, f, b, a, alpha):
         q, items, seen, visited = s, [], set(), set()
         while q not in seen:
             seen.add(q)
-            row = guarded_row(t._by_qa, q, a, b, lambda p: p == alpha)
+            row = guarded_row(t._by_qa, q, a, b, {alpha})
             if row is None:
                 break
             q, gamma, move = row
@@ -457,9 +457,7 @@ def _accepting_parts(s, adj, order_key):
 
             walk = _covering_walk(comp_sorted, succ_walk)
             laps = UPWord("", "".join(a for a, _node in walk))
-            if s.lookahead is not None and not all(
-                s.lookahead.accepts(laps, start=p) for p in comp_sorted[0].claims
-            ):
+            if s.lookahead is not None and not comp_sorted[0].claims <= s.lookahead.context(laps):
                 continue
             parts.append((comp_sorted, walk, P))
     return parts

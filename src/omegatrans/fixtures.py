@@ -201,9 +201,37 @@ def random_twowst(rng, max_states=3, alphabet="ab"):
     return TwoWst(states, alphabet, 0, delta, muller)
 
 
+def random_lookahead_twowst(rng, max_states=3, alphabet="ab"):
+    """random_twowst with a look-ahead DMA: a random two-state DMA (states
+    +u and +v) united with its complement (-u and -v, the same moves, every
+    other non-empty set accepting), so -x accepts exactly what +x rejects.
+    Each letter row is split, with probability 2/5, into the drawn row
+    guarded by +x and a freshly drawn one guarded by -x, for x drawn from u
+    and v, so exactly one row of the pair fires.  End-marker rows stay
+    unguarded."""
+    base = random_twowst(rng, max_states, alphabet)
+    moves = {(s, a): rng.choice("uv") for s in "uv" for a in alphabet}
+    signs = [rng.choice("+-") for _ in range(3)]
+    muller = [{sign + s for s in P} for P, sign in zip(("u", "v", "uv"), signs)]
+    ahead = Dma(["+u", "+v", "-u", "-v"], alphabet, "+u",
+                {(sign + s, a): sign + q for (s, a), q in moves.items() for sign in "+-"},
+                muller)
+    n = len(base.states)
+    delta = {}
+    for (q, _r, a, _p), row in base.delta.items():
+        if a == MARK or rng.random() >= 0.4:
+            delta[(q, None, a, None)] = row
+            continue
+        x = rng.choice("uv")
+        delta[(q, None, a, "+" + x)] = row
+        delta[(q, None, a, "-" + x)] = (rng.randrange(n), rng.choice(("",) + tuple(alphabet)),
+                                        rng.choice((RIGHT, RIGHT, RIGHT, STAY, LEFT)))
+    return TwoWst(base.states, alphabet, 0, delta, base.muller_sets, lookahead=ahead)
+
+
 def domain_words(t, rng, count, attempts=500, settle_cap=None, max_prefix=2, max_period=2):
     """Up to count distinct accepted words, found by rejection sampling."""
-    out = []
+    out = {}
     alphabet = "".join(t.alphabet)
     while len(out) < count and attempts > 0:
         attempts -= 1
@@ -213,9 +241,8 @@ def domain_words(t, rng, count, attempts=500, settle_cap=None, max_prefix=2, max
             continue
         if settle_cap is not None and ana.settle_col > settle_cap:
             continue
-        if all(w != seen for seen in out):
-            out.append(w)
-    return out
+        out[w] = None
+    return list(out)
 
 
 def mirror_lookahead_dma():
@@ -262,7 +289,7 @@ def mirror_corpus(count=50, seed=20260825):
     the period's block structure); the rest is filled with seeded random
     block words so the corpus stays identical between runs.
     """
-    words = [
+    words = dict.fromkeys([
         UPWord("", "a"),
         UPWord("", "ab"),
         UPWord("b", "ab"),
@@ -275,7 +302,7 @@ def mirror_corpus(count=50, seed=20260825):
         UPWord("ba#aa#b", "ba"),
         UPWord("aaa#b#", "ba"),
         UPWord("b#a#b#", "a"),
-    ]
+    ])
     rng = random.Random(seed)
     while len(words) < count:
         blocks = [
@@ -284,10 +311,8 @@ def mirror_corpus(count=50, seed=20260825):
         ]
         prefix = "".join(block + "#" for block in blocks)
         tail = "".join(rng.choice("ab") for _ in range(rng.randrange(1, 4)))
-        w = UPWord(prefix, tail)
-        if all(w != seen for seen in words):
-            words.append(w)
-    return words
+        words[UPWord(prefix, tail)] = None
+    return list(words)
 
 
 def mirror_fot():

@@ -282,15 +282,29 @@ class Dma:
     def step(self, q, a):
         return self.delta[(q, a)]
 
-    def accepts(self, word, start=None):
+    def accepts(self, word):
         """Muller acceptance on an ultimately periodic word."""
-        states, entry, _ = lasso(
-            self.initial if start is None else start,
-            lambda q, col: self.delta[(q, word.letter_at(col + 1))],
-            len(word.prefix),
-            len(word.period),
-        )
-        return frozenset(states[entry:]) in set(self.muller_sets)
+        return self.initial in self.context(word)
+
+    def context(self, word):
+        """The states that accept an ultimately periodic word: one lasso of
+        the runs from every state, each read on the cycle."""
+        def step(qs, col):
+            a = word.letter_at(col + 1)
+            return tuple(self.delta[(q, a)] for q in qs)
+
+        runs, entry, _ = lasso(self.states, step, len(word.prefix), len(word.period))
+        return frozenset(p for p, cycle in zip(self.states, zip(*runs[entry:]))
+                         if frozenset(cycle) in self.muller_sets)
+
+    def contexts_before(self, letters, after):
+        """[C[0], ..., C[n]] for n letters followed by a word of context
+        C[n] = after: C[i] = {p : δ(p, letters[i]) ∈ C[i+1]}."""
+        contexts = [after]
+        for a in reversed(letters):
+            after = frozenset(p for p in self.states if self.delta[(p, a)] in after)
+            contexts.append(after)
+        return contexts[::-1]
 
 
 def run_factor(delta, q, factor):

@@ -5,8 +5,8 @@ marker sits at position 0.  Every transition emits an output fragment.  A
 word is accepted when the head escapes to the right forever and the set of
 states visited infinitely often is one of the accepting sets.  Transitions
 may be guarded: by the state a lookbehind DFA reaches on the strict prefix,
-and by acceptance of the strict suffix from a chosen state of a lookahead
-Muller automaton.
+and by a state of a lookahead Muller automaton, which holds when it lies in
+the context of the strict suffix: the set of states that accept it.
 
 Runs need no step budget: _travel decides a run on a whole word within a
 proved number of moves, and _cross walks the head through a finite factor.
@@ -98,12 +98,17 @@ def guarded_rows(m, letters, entry):
     """The rows of m's guarded table by (state, letter), as guarded_row reads
     them, with entry(key) as the value of the row.
 
-    Checks that m.initial is a state and that every key (q, r, a, p) of
+    Checks that m.initial is a state, that m.lookbehind and m.lookahead
+    read every letter of m.alphabet, and that every key (q, r, a, p) of
     m.delta leaves a state q on one of letters, with guards r and p that are
     None or states of m.lookbehind and m.lookahead.
     """
     if m.initial not in m.states:
         raise ValueError("initial state %r not a state" % (m.initial,))
+    for side, aut in (("lookbehind", m.lookbehind), ("lookahead", m.lookahead)):
+        missing = [a for a in m.alphabet if aut is not None and a not in aut.alphabet]
+        if missing:
+            raise ValueError("the %s automaton has no letter %r" % (side, missing[0]))
     rows = {}
     for key in m.delta:
         q, r, a, p = key
@@ -119,17 +124,17 @@ def guarded_rows(m, letters, entry):
     return rows
 
 
-def guarded_row(rows, q, letter, behind, ahead_ok):
+def guarded_row(rows, q, letter, behind, ahead):
     """The value of the unique row whose guards hold, or None.
 
     rows maps (state, letter) to (behind guard, ahead guard, value) triples,
     a guard being None for "any".  behind is the lookbehind state at the
-    position and ahead_ok maps a lookahead state to the suffix-acceptance
-    verdict.  Two rows that both hold are an error.
+    position and ahead the context of the strict suffix after it, which a
+    lookahead guard must lie in.  Two rows that both hold are an error.
     """
     found = None
     for r, p, value in rows.get((q, letter), ()):
-        if (r is None or r == behind) and (p is None or ahead_ok(p)):
+        if (r is None or r == behind) and (p is None or p in ahead):
             if found is not None:
                 raise ValueError(
                     "ambiguous guards in state %r at letter %r" % (q, letter)
@@ -140,7 +145,7 @@ def guarded_row(rows, q, letter, behind, ahead_ok):
 
 class _WordContext:
     """Per-position guard data of one word: letter, lookbehind state and
-    lookahead verdicts.  All of it is periodic from position entry_pos on,
+    lookahead context.  All of it is periodic from position entry_pos on,
     with period cycle_len: the lasso of the lookbehind run over the columns
     (words.lasso), whose state after column c is the guard at position c+1."""
 
@@ -156,7 +161,10 @@ class _WordContext:
         )
         self.entry_pos = entry + 1
         self._bs = [bs[0]] + bs  # position 0 is the end marker
-        self._ahead = {}
+        a = t.lookahead
+        end = self.entry_pos + self.cycle_len - 1
+        self._ahead = (a.contexts_before(word.prefix_of(end), a.context(word.suffix(end)))
+                       if a else [None] * (end + 1))
 
     def letter(self, pos):
         return MARK if pos == 0 else self.word.letter_at(pos)
@@ -164,18 +172,15 @@ class _WordContext:
     def b_state(self, pos):
         return self._bs[fold(pos, self.entry_pos, self.cycle_len)]
 
-    def ahead_ok(self, pos, p):
-        w = self.word.suffix(pos)
-        key = (p, w.prefix, w.period)
-        if key not in self._ahead:
-            self._ahead[key] = self.t.lookahead.accepts(w, start=p)
-        return self._ahead[key]
+    def ahead(self, pos):
+        """The context of the strict suffix after pos."""
+        return self._ahead[fold(pos, self.entry_pos, self.cycle_len)]
 
     def transition(self, q, pos):
         """The row firing in state q at pos: its value on a TwoWst, its key
         on a constructions.SstSf."""
         return guarded_row(self.t._by_qa, q, self.letter(pos), self.b_state(pos),
-                           lambda p: self.ahead_ok(pos, p))
+                           self.ahead(pos))
 
 
 def _travel(ctx, q, pos):
@@ -330,21 +335,11 @@ def anchored_behavior(t, factor, continuation):
 
 
 def realizable_contexts(a, cap=10 ** 6):
-    """Acceptance vectors of ultimately periodic continuations of a.
-
-    A context is the set of states from which the rest of the input is
-    accepted; continuations inducing the same vector are indistinguishable
-    by lookahead guards.  Enumerated over lasso words built from shortest
-    representatives of a's transition monoid.
-    """
+    """The contexts (Dma.context) that continuations of a word can have:
+    continuations with one context look alike to every lookahead guard.
+    Enumerated over lasso words u·v^ω, u and v least words of a's monoid."""
     words_ = list(dma_monoid(a, cap).values())
-    out = set()
-    for u in words_:
-        for v in words_:
-            if not v:
-                continue
-            w = UPWord(u, v)
-            out.add(frozenset(s for s in a.states if a.accepts(w, start=s)))
+    out = {a.context(UPWord(u, v)) for u in words_ for v in words_ if v}
     return sorted(out, key=lambda c: tuple(sorted(map(str, c))))
 
 
@@ -449,11 +444,10 @@ def element_of_word(t, factor):
         for pos in range(2, m + 1):
             bs[pos] = b.step(bs[pos - 1], factor[pos - 2]) if b else None
         for c in _machine_contexts(t):
+            ahead = a.contexts_before(factor, c) if a else [None] * (m + 1)
+
             def step(q, pos):
-                return guarded_row(
-                    t._by_qa, q, factor[pos - 1], bs[pos],
-                    lambda p: run_factor(t.lookahead.delta, p, factor[pos:])[0] in c,
-                )
+                return guarded_row(t._by_qa, q, factor[pos - 1], bs[pos], ahead[pos])
 
             runs = {side: [None] * len(t.states) for side in SIDES}
             for enter, start in (("l", 1), ("r", m)):

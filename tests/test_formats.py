@@ -341,3 +341,26 @@ def test_transition_tables_are_exact(tmp_path, text, message):
     path = tmp_path / "bad"
     path.write_text(text)
     assert main(["check-aperiodic", str(path)]) == 2
+
+
+_AHEAD_OVER_A = "kind: dma\nstates: x\ninitial: x\nalphabet: a\ndelta: x,a -> x\nmuller: {x}\n"
+
+
+@pytest.mark.parametrize("text, side", [
+    (_ONE_STATE_2WST + "lookahead:\n" + _AHEAD_OVER_A, "lookahead"),
+    (_ONE_STATE_2WST + "lookbehind:\nkind: dfa\nstates: u\ninitial: u\nalphabet: a\n"
+     "delta: u,a -> u\n", "lookbehind"),
+    (_ONE_STATE_SST_SF + "lookahead:\n" + _AHEAD_OVER_A, "lookahead"),
+], ids=["2wst-lookahead", "2wst-lookbehind", "sst-sf-lookahead"])
+def test_look_around_automata_read_every_letter_of_their_machine(tmp_path, capsys, text, side):
+    """A guard automaton that lacks a letter of the machine could not
+    follow a word with that letter, so the machine is refused at parse
+    time, and the command line exits 2 with one error line."""
+    message = "the %s automaton has no letter 'b'" % side
+    with pytest.raises(FormatError, match=message):
+        parse_machine_text(text)
+    path = tmp_path / "bad"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["run", str(path), "ab(a)^w"]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message

@@ -297,6 +297,25 @@ def test_language_monoid_consistency(d, u, v):
     assert d.accepts(word) == accepts_via_matrices(d, word)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    dmas(),
+    st.text(alphabet="ab", max_size=4),
+    st.text(alphabet="ab", min_size=1, max_size=3),
+    st.text(alphabet="ab", max_size=4),
+)
+def test_context_is_the_set_of_accepting_starts(d, u, v, x):
+    """context(w) holds the states from which the matrices accept w, and
+    the backward pass over a factor x gives the context of each suffix of
+    x followed by w."""
+    word = UPWord(u, v)
+    expected = {p for p in d.states
+                if accepts_via_matrices(Dma(d.states, d.alphabet, p, d.delta, d.muller_sets), word)}
+    assert d.context(word) == expected
+    before = d.contexts_before(x, d.context(word))
+    assert before == [d.context(UPWord(x[i:] + u, v)) for i in range(len(x) + 1)]
+
+
 def _in_shortlex_order(mon):
     words = list(mon.values())
     return words == sorted(words, key=lambda w: (len(w), w))

@@ -10,6 +10,7 @@ from omegatrans.fixtures import (
     mirror_sst,
     mirror_twowst,
     plain_copier_twowst,
+    random_lookahead_twowst,
     random_twowst,
     random_upword,
 )
@@ -38,13 +39,12 @@ MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
 
 def test_lookahead_classifier():
     a = mirror_lookahead_dma()
-    assert a.accepts(UPWord("ab", "ba"), start="n")
-    assert not a.accepts(UPWord("ab", "ba"), start="y")
-    assert a.accepts(UPWord("ab#", "a"), start="y")
-    assert not a.accepts(UPWord("ab#", "a"), start="n")
-    assert a.accepts(UPWord("", "a#"), start="y")
-    assert a.accepts(UPWord("", "a"), start="m")
-    assert not a.accepts(UPWord("", "a"), start="d")
+    assert a.context(UPWord("ab", "ba")) == {"n", "m"}
+    assert a.context(UPWord("ab#", "a")) == {"y", "m"}
+    assert a.context(UPWord("", "a#")) == {"y", "m"}
+    assert a.context(UPWord("", "a")) == {"n", "m"}
+    assert a.accepts(UPWord("", "a#"))
+    assert not a.accepts(UPWord("", "a"))
 
 
 def test_run_mirror_frozen_outputs():
@@ -106,6 +106,16 @@ def test_lookbehind_states_fold_onto_the_cycle_of_their_lasso():
             assert ctx.b_state(pos) == t.lookbehind.run(w.prefix_of(pos - 1)), (w, pos)
 
 
+def test_lookahead_contexts_fold_onto_the_cycle_of_their_lasso():
+    """ahead(pos) is the context of the suffix after pos, also past the
+    stored contexts, where it is read by folding."""
+    t = parse_machine(MACHINES / "f1.2wst")
+    for w in parse_corpus(MACHINES / "corpus.txt"):
+        ctx = _WordContext(t, w)
+        for pos in range(ctx.entry_pos + 3 * ctx.cycle_len + 1):
+            assert ctx.ahead(pos) == t.lookahead.context(w.suffix(pos)), (w, pos)
+
+
 def test_reaches_mirror():
     t = mirror_twowst()
     w = UPWord("ab#", "a")
@@ -123,14 +133,54 @@ def _walk_bound(t, word, pos):
     return n * (max(pos, ctx.entry_pos) + n * ctx.cycle_len + 2)
 
 
+def _accepts_from(a, p, word):
+    """Muller acceptance of word from state p of a, by the run's own lasso:
+    past the prefix, the first (state, phase) pair that repeats closes the
+    cycle the run stays on."""
+    for letter in word.prefix:
+        p = a.step(p, letter)
+    period = word.period
+    visits, first, i = [], {}, 0
+    while (p, i % len(period)) not in first:
+        first[(p, i % len(period))] = i
+        visits.append(p)
+        p = a.step(p, period[i % len(period)])
+        i += 1
+    return frozenset(visits[first[(p, i % len(period))]:]) in a.muller_sets
+
+
+def _guarded_rows(t, word):
+    """The row of t firing in state q at pos, as a function of (q, pos):
+    each look-ahead guard is decided by _accepts_from on the suffix."""
+    by_qa = {}
+    for (q, _r, a, p), value in t.delta.items():
+        by_qa.setdefault((q, a), []).append((p, value))
+    verdicts = {}
+
+    def holds(p, pos):
+        key = (p, word.suffix(pos))
+        if key not in verdicts:
+            verdicts[key] = _accepts_from(t.lookahead, p, key[1])
+        return verdicts[key]
+
+    def row(q, pos):
+        rows = [value for p, value in by_qa.get((q, MARK if pos == 0 else word.letter_at(pos)), ())
+                if p is None or holds(p, pos)]
+        assert len(rows) <= 1
+        return rows[0] if rows else None
+
+    return row
+
+
 def _step_by_step(t, word, q, pos, steps):
-    """Plain simulation of an unguarded machine's head for at most steps
-    moves: (configurations, outputs, why it stopped or None)."""
+    """Plain simulation of a machine's head, without look-behind, for at
+    most steps moves: (configurations, outputs, why it stopped or None)."""
+    row_at = _guarded_rows(t, word)
     configs = [(q, pos)]
     seen = {(q, pos)}
     outs = []
     for _ in range(steps):
-        row = t.delta.get((q, None, MARK if pos == 0 else word.letter_at(pos), None))
+        row = row_at(q, pos)
         if row is None:
             return configs, outs, (
                 "stuck: no transition applies in state %r at position %d" % (q, pos))
@@ -147,18 +197,24 @@ def _step_by_step(t, word, q, pos, steps):
     return configs, outs, None
 
 
+def _draws(seed):
+    """50 unguarded and 50 look-ahead machines, each with a word."""
+    for draw in (random_twowst, random_lookahead_twowst):
+        rng = random.Random(seed)
+        for _ in range(50):
+            yield draw(rng), random_upword(rng, "ab", 3, 3)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_walks_agree_with_step_by_step_simulation(seed):
-    """run_2wst and reaches on random machines against a plain simulation
-    run to the proved bound plus enough loops to pass the target.  A run
-    that has not ended by the bound travels: it is in its loop from then
-    on, each loop takes at most the bound and moves at least one cell
-    right, and it outputs a letter unless the output stays finite."""
-    rng = random.Random(seed)
+    """run_2wst and reaches on random machines, unguarded and with
+    look-ahead, against a plain simulation run to the proved bound plus
+    enough loops to pass the target.  A run that has not ended by the bound
+    travels: it is in its loop from then on, each loop takes at most the
+    bound and moves at least one cell right, and it outputs a letter unless
+    the output stays finite."""
     k, y_max = 8, 11
-    for _ in range(50):
-        t = random_twowst(rng)
-        w = random_upword(rng, "ab", 3, 3)
+    for t, w in _draws(seed):
         bound = _walk_bound(t, w, 1)
         configs, outs, why = _step_by_step(t, w, t.initial, 1, bound * (k + 2))
         if why is not None:
