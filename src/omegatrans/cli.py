@@ -105,6 +105,8 @@ def _cmd_compare(args):
     m2 = _load(args.machine2, want=_RUNNABLE)
     if args.corpus is not None:
         corpus = parse_corpus(args.corpus)
+    elif args.sample < 1:
+        raise ValueError("--sample must be >= 1, got %d" % args.sample)
     else:
         corpus = _sample_corpus(m1, args.sample, args.seed)
     rows = compare_outputs(m1, m2, corpus, k=args.k)

@@ -17,7 +17,9 @@ plain Sst that sst.run_output runs without its source.  The states of
 both stages and the configurations are each found by muller.explore, one
 breadth-first search that raises CapExceeded past the stage's cap; the
 word it gives the first configuration of an accepting component leads the
-subset states to where that component's loop is followed.
+subset states to where that component's loop is followed.  Both stages
+find the sets a run can visit forever with one pair of helpers: _cycles,
+the components that hold an edge, and loops, every loop inside them.
 compare_outputs is the harness that checks any two model implementations
 against each other on a corpus of words.
 
@@ -182,16 +184,6 @@ def _crossing_map(cross, left):
                  if s in left)
 
 
-def _is_loop(P, succ):
-    """Whether a run can visit exactly the states of P forever: the
-    transitions inside P make it one strongly connected component with at
-    least one transition, so a single state needs a loop."""
-    def inside(st):
-        return [st2 for st2 in succ.get(st, ()) if st2 in P]
-
-    return len(_sccs(P, inside)) == 1 and any(inside(st) for st in P)
-
-
 def twowst_to_sst_sf(t, cap=12):
     """One-pass guarded transducer equivalent to the two-way machine.
 
@@ -225,10 +217,11 @@ def twowst_to_sst_sf(t, cap=12):
     visits forever are therefore the union of the V over the states of the
     guarded run's loop, and a set P of states gets the output rule O iff
     that union over P is an accepting set of the source and P is a loop: a
-    run can visit exactly P forever (_is_loop).  Such a P lies inside one
-    strongly connected component, so only subsets of components are
-    listed.  A cell the head never leaves to the right has no crossing for
-    the current state, and the guarded machine has no row there.
+    run can visit exactly P forever.  The sets P are the ones loops yields,
+    so the rules cost per loop of the guarded machine, not per subset of
+    one of its components.  A cell the head never leaves to the right has
+    no crossing for the current state, and the guarded machine has no row
+    there.
 
     Every other crossing is kept, so when the crossings of several states
     pass through one excursion, its variable is copied into each of them.
@@ -288,12 +281,8 @@ def twowst_to_sst_sf(t, cap=12):
     for key, dest in delta.items():
         succ.setdefault(key[0], {})[dest] = None
     accepting = set(t.muller_sets)
-    output = {}
-    for comp in _sccs(states, lambda st: succ.get(st, ())):
-        for n in range(1, 1 << len(comp)):
-            P = frozenset(st for i, st in enumerate(comp) if n >> i & 1)
-            if frozenset().union(*(st[2] for st in P)) in accepting and _is_loop(P, succ):
-                output[P] = ("O",)
+    output = {P: ("O",) for P in loops(states, lambda st: succ.get(st, ()))
+              if frozenset().union(*(st[2] for st in P)) in accepting}
     return SstSf(states, t.alphabet, init, delta, variables, update, output,
                  lookahead=t.lookahead)
 
@@ -336,19 +325,20 @@ def _config_graph(s, cap):
     return start, adj, words
 
 
-def _sccs(nodes, succ):
-    """Iterative Tarjan over the given nodes."""
+def _cycles(nodes, succ):
+    """The strongly connected components of the subgraph on nodes that hold
+    an edge, as frozensets: iterative Tarjan, with roots taken in the order
+    of nodes, so the result does not depend on hashing."""
+    inside = set(nodes)
     index = {}
     low = {}
     onstack = set()
     stack = []
     comps = []
-    counter = [0]
     for root in nodes:
         if root in index:
             continue
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
         onstack.add(root)
         work = [(root, iter(succ(root)))]
@@ -356,9 +346,10 @@ def _sccs(nodes, succ):
             node, it = work[-1]
             pushed = False
             for child in it:
+                if child not in inside:
+                    continue
                 if child not in index:
-                    index[child] = low[child] = counter[0]
-                    counter[0] += 1
+                    index[child] = low[child] = len(index)
                     stack.append(child)
                     onstack.add(child)
                     work.append((child, iter(succ(child))))
@@ -379,8 +370,32 @@ def _sccs(nodes, succ):
                     comp.append(w)
                     if w == node:
                         break
-                comps.append(comp)
+                if len(comp) > 1 or node in succ(node):
+                    comps.append(frozenset(comp))
     return comps
+
+
+def loops(nodes, succ):
+    """Yield every loop among nodes once, as a frozenset: a set whose inner
+    edges make one strongly connected component with an edge, so that a run
+    can visit exactly its nodes forever.
+
+    A loop is a component of _cycles(nodes) or a loop of such a component
+    less one of its nodes, so the search recurses through _cycles and skips
+    the loops it has found: it costs per loop, not per subset of a
+    component.  Node lists keep the order of nodes.
+    """
+    seen = set()
+    todo = [list(nodes)]
+    while todo:
+        sub = todo.pop()
+        for comp in _cycles(sub, succ):
+            if comp in seen:
+                continue
+            seen.add(comp)
+            yield comp
+            members = [n for n in sub if n in comp]
+            todo.extend([n for n in members if n != v] for v in members)
 
 
 def _bfs_path(src, dst, succ):
@@ -432,25 +447,12 @@ def _accepting_parts(s, adj, order_key):
     for P in s.muller_sets:
         members = set(P)
         nodes = sorted((c for c in adj if c.state in members), key=order_key)
-        node_set = set(nodes)
-
-        def succ_plain(n, _ns=node_set):
-            for _a, _key, c2 in adj[n]:
-                if c2 in _ns:
-                    yield c2
-
-        for comp in _sccs(nodes, succ_plain):
-            comp_set = set(comp)
-            has_edge = any(
-                c2 in comp_set for n in comp for _a, _key, c2 in adj[n]
-            )
-            if not has_edge:
-                continue
+        for comp in _cycles(nodes, lambda n: (c2 for _a, _key, c2 in adj[n])):
             if {c.state for c in comp} != members:
                 continue
             comp_sorted = sorted(comp, key=order_key)
 
-            def succ_walk(n, _cs=comp_set):
+            def succ_walk(n, _cs=comp):
                 for a, _key, c2 in adj[n]:
                     if c2 in _cs:
                         yield (a, c2)

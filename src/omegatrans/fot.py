@@ -71,10 +71,11 @@ graph; the output is finite and padded with ``words.PAD``.  Otherwise:
    if removal is not unique within it, or R passes G + 3M + q before the
    period of step 3 shows, the output is not string-shaped.
 
-Only running touches numpy: ``_label_rows`` and ``_output_lasso`` import
-it, and the formulas are evaluated by ``fologic``'s grid evaluator through
-their plans, which also give ``_output_lasso`` the depths.  Building,
-parsing and printing a machine do not load it.
+Only running and ``node_label`` touch numpy: ``_label_rows`` and
+``_output_lasso`` import it, and the formulas are evaluated by
+``fologic``'s grid evaluator through their plans, which also give
+``_output_lasso`` the depths.  Building, parsing and printing a machine do
+not load it.
 """
 
 from .fologic import bulk_evaluate, evaluate, free_variables, plan
@@ -129,33 +130,23 @@ def fot_domain(t, word):
 
 
 def node_label(t, word, copy, pos):
-    """The output letter of the node at (copy, pos), or None if unlabeled."""
-    found = None
-    for (c, letter), f in sorted(t.labels.items(), key=lambda kv: str(kv[0])):
-        if c != copy:
-            continue
-        if evaluate(f, word, {"x": pos}):
-            if found is not None:
-                raise ValueError(
-                    "copy %r position %d carries ambiguous labels %r and %r"
-                    % (copy, pos, found, letter)
-                )
-            found = letter
-    return found
+    """The output letter of the node at (copy, pos), or None if unlabeled;
+    ValueError when two labels of any one copy hit the position."""
+    return _label_rows(t, word, [pos])[copy][0] or None
 
 
-def _label_rows(t, word, n):
-    """Per copy, the array of output letters for positions 1..n.
+def _label_rows(t, word, positions):
+    """Per copy, the array of output letters at the given 1-based positions.
 
     Unlabeled positions hold the empty string.  Raises ValueError if two
     label formulas of one copy hit the same position.
     """
     import numpy as np
 
-    pos = np.arange(1, n + 1)
+    pos = np.asarray(positions)
     rows = {}
     for c in t.copies:
-        lab = np.full(n, "", dtype=object)
+        lab = np.full(len(pos), "", dtype=object)
         for (cc, letter), f in sorted(t.labels.items(), key=lambda kv: str(kv[0])):
             if cc != c:
                 continue
@@ -184,7 +175,7 @@ def _output_lasso(t, word):
     formulas = list(t.labels.values()) + list(t.order.values())
     c = 2 ** max(plan(f).depth for f in formulas) + 1
     G = p + c * q
-    rows = _label_rows(t, word, G + q)
+    rows = _label_rows(t, word, np.arange(1, G + q + 1))
     m = sum(int((rows[a][G:] != "").sum()) for a in t.copies)
     limit = G + 3 * m * c * q + q
     window = limit + (2 * c + 4) * q

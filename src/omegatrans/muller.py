@@ -347,10 +347,12 @@ def explore(start, successors, cap, blowup):
     first, with "", then the nodes first reached by paths of length 1, 2,
     ..., each length in the order of the nodes before it and of their
     edges.  Raises CapExceeded(blowup % cap) instead of yielding node
-    cap + 1, so a consumer that stops earlier never sees the cap.  The
-    monoids, the 1-boundedness search and the constructions of module
-    constructions are all this search.
+    cap + 1, so a consumer that stops earlier never sees the cap, and
+    ValueError for a cap below 1.  The monoids, the 1-boundedness search
+    and the constructions of module constructions are all this search.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1, got %d" % cap)
     seen = {start}
     yield start, ""
     frontier = [(start, "")]

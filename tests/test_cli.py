@@ -14,6 +14,7 @@ MACHINES = pathlib.Path(__file__).resolve().parent.parent / "machines"
 F1_SST = str(MACHINES / "f1.sst")
 F1_2WST = str(MACHINES / "f1.2wst")
 F1_FOT = str(MACHINES / "f1.fot")
+F1_SST_SF = str(pathlib.Path(__file__).resolve().parent / "golden" / "f1.sst-sf")
 SETTLING_DMA = str(MACHINES / "settling.dma")
 SETTLING_SST = str(MACHINES / "settling.sst")
 CORPUS = str(MACHINES / "corpus.txt")
@@ -243,6 +244,31 @@ def test_negative_k_exits_2(capsys):
         assert capsys.readouterr().out == "\n"
     assert main(["compare", F1_2WST, F1_SST, "--corpus", CORPUS, "-k", "-3"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["compile", "2wst-to-sst", F1_2WST, "--cap", "-1"], "cap must be >= 1, got -1"),
+    (["eliminate-la", F1_SST_SF, "--cap", "0"], "cap must be >= 1, got 0"),
+    (["monoid", SETTLING_DMA, "--cap", "0"], "cap must be >= 1, got 0"),
+    (["check-aperiodic", SETTLING_SST, "--cap", "0"], "cap must be >= 1, got 0"),
+    (["check-1bounded", SETTLING_SST, "--cap", "-5"], "cap must be >= 1, got -5"),
+    (["compare", F1_2WST, F1_SST, "--sample", "0"], "--sample must be >= 1, got 0"),
+    (["compare", F1_2WST, F1_SST, "--sample", "-2"], "--sample must be >= 1, got -2"),
+])
+def test_limits_below_1_exit_2_instead_of_passing_as_results(argv, error, capsys):
+    """A cap below 1 is not a resource limit that was hit (exit 3), and a
+    sample of no words is not a comparison that found no mismatch."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % error
+
+
+def test_sample_size_is_ignored_with_a_corpus(tmp_path, capsys):
+    argv = ["compare", F1_2WST, F1_SST, "--corpus", CORPUS, "--sample", "0",
+            "--report", str(tmp_path / "report.tsv")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "words: 50 equal: 50 both-reject: 0 mismatch: 0\n"
 
 
 # Runs in a fresh interpreter, so that no other test has loaded numpy yet.

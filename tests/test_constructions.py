@@ -3,6 +3,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegatrans import sst
 from omegatrans.constructions import (
@@ -10,8 +11,10 @@ from omegatrans.constructions import (
     SstSf,
     _bfs_path,
     _config_graph,
+    _cycles,
     compare_outputs,
     eliminate_lookaround,
+    loops,
     run_model,
     run_output_sst_sf,
     twowst_to_sst_sf,
@@ -163,6 +166,74 @@ def test_output_rules_only_for_sets_a_run_can_settle_in():
               UPWord("a", "abb"), UPWord("ab", "aab")):
         assert _output_or_none(run_output_sst_sf, s, w, 12) == _output_or_none(
             run_2wst, t, w, 12), w
+
+
+def _brute_force_loops(n, succ):
+    """The subsets of range(n) whose induced edges make one strongly
+    connected component with at least one edge: from each member, paths of
+    one step or more inside the subset reach exactly the subset."""
+    def reach(P, v):
+        seen, todo = set(), [v]
+        while todo:
+            for w in succ(todo.pop()):
+                if w in P and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    subsets = (frozenset(v for v in range(n) if mask >> v & 1) for mask in range(1, 1 << n))
+    return {P for P in subsets if all(reach(P, v) == P for v in P)}
+
+
+@st.composite
+def digraphs(draw):
+    """(n, succ): a random digraph on the nodes 0..n-1, n up to 7, self-loops
+    allowed."""
+    n = draw(st.integers(0, 7))
+    edges = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    succ = {v: [w for w in range(n) if edges[v * n + w]] for v in range(n)}
+    return n, succ.__getitem__
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs())
+def test_loops_are_the_strongly_connected_subsets(graph):
+    """loops yields each loop once and no other set; _cycles gives the
+    maximal ones, once each."""
+    n, succ = graph
+    want = _brute_force_loops(n, succ)
+    found = list(loops(range(n), succ))
+    assert len(found) == len(set(found))
+    assert set(found) == want
+    cycles = _cycles(range(n), succ)
+    assert len(cycles) == len(set(cycles))
+    assert set(cycles) == {P for P in want if not any(P < L for L in want)}
+
+
+def ring_twowst(n):
+    """A one-way copier over ab whose n states form a ring: every letter
+    moves the head right into the next state, and the Muller set holds all
+    n states."""
+    states = ["q%d" % i for i in range(n)]
+    delta = {(q, None, a, None): (states[(i + 1) % n], a, RIGHT)
+             for i, q in enumerate(states) for a in "ab"}
+    return TwoWst(states, "ab", states[0], delta, [set(states)])
+
+
+def test_a_ring_of_24_states_gets_its_one_output_rule_per_loop():
+    """The ring's guarded machine has one component of 24 states, so a scan
+    of its subsets would take 2^24 steps.  Its one loop is the whole ring;
+    the conversion gives it the one output rule, and the guarded and the
+    eliminated machine both run like the source."""
+    t = ring_twowst(24)
+    s = twowst_to_sst_sf(t, cap=64)
+    assert len(s.states) == 25
+    assert list(s.F.values()) == [("O",)]
+    elim = eliminate_lookaround(s)
+    for w in (UPWord("", "ab"), UPWord("a", "b"), UPWord("abb", "a")):
+        expect = run_2wst(t, w, 60)
+        assert run_output_sst_sf(s, w, 60) == expect, w
+        assert run_output(elim, w, 60) == expect, w
 
 
 def test_rightward_loop_appends_to_the_output_variable():
