@@ -368,49 +368,3 @@ def format_formula(f):
     if isinstance(f, Forall):
         return "A %s. (%s)" % (f.var, format_formula(f.body))
     raise TypeError("not a formula: %r" % (f,))
-
-
-# ---------------------------------------------------------------------------
-# Shorthands used by transducer formulas.
-# ---------------------------------------------------------------------------
-
-
-def strictly_before(x, y):
-    return And(Leq(x, y), Not(Eq(x, y)))
-
-
-def is_first(x, y="_f"):
-    """x is position 1.  y names the bound variable."""
-    return Not(Exists(y, strictly_before(y, x)))
-
-
-def between_positions(x, y, z):
-    """z lies strictly between x and y (in either orientation)."""
-    return Or(
-        And(strictly_before(y, z), strictly_before(z, x)),
-        And(strictly_before(x, z), strictly_before(z, y)),
-    )
-
-
-def between_letter(x, y, letter, z="_b"):
-    """Some position strictly between x and y carries the letter."""
-    return Exists(z, And(Label(letter, z), between_positions(x, y, z)))
-
-
-def reaches_letter(x, letter, y="_r"):
-    """Some position strictly after x carries the letter."""
-    return Exists(y, And(strictly_before(x, y), Label(letter, y)))
-
-
-def is_string():
-    """The order axioms picking out string-like models.
-
-    Its quantifier depth (4) is pinned by tests.
-    """
-    x, y, yp, z = "x", "y", "_y2", "_z"
-    succ = And(strictly_before(x, y), Not(Exists(z, between_positions(x, y, z))))
-    succ2 = And(strictly_before(x, yp), Not(Exists(z, between_positions(x, yp, z))))
-    unique = Forall(y, Forall(yp, Implies(And(succ, succ2), Eq(y, yp))))
-    exists = Exists(y, succ)
-    total = Forall(x, Forall(y, Or(Leq(x, y), Leq(y, x))))
-    return And(total, Forall(x, And(unique, exists)))

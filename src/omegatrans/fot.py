@@ -71,11 +71,10 @@ graph; the output is finite and padded with ``words.PAD``.  Otherwise:
    if removal is not unique within it, or R passes G + 3M + q before the
    period of step 3 shows, the output is not string-shaped.
 
-Only running and ``node_label`` touch numpy: ``_label_rows`` and
-``_output_lasso`` import it, and the formulas are evaluated by
-``fologic``'s grid evaluator through their plans, which also give
-``_output_lasso`` the depths.  Building, parsing and printing a machine do
-not load it.
+Only running touches numpy: ``_label_rows`` and ``_output_lasso`` import
+it, and the formulas are evaluated by ``fologic``'s grid evaluator through
+their plans, which also give ``_output_lasso`` the depths.  Building,
+parsing and printing a machine do not load it.
 """
 
 from .fologic import bulk_evaluate, evaluate, free_variables, plan
@@ -116,6 +115,8 @@ class Fot:
                 if (c, d) not in self.order:
                     raise ValueError("missing order formula for copies (%r, %r)" % (c, d))
         for (c, d), f in self.order.items():
+            if c not in self.copies or d not in self.copies:
+                raise ValueError("order formula for unknown copies (%r, %r)" % (c, d))
             extra = free_variables(f) - {"x", "y"}
             if extra:
                 raise ValueError(
@@ -127,12 +128,6 @@ class Fot:
 def fot_domain(t, word):
     """Whether the word satisfies the domain sentence."""
     return evaluate(t.domain, word, {})
-
-
-def node_label(t, word, copy, pos):
-    """The output letter of the node at (copy, pos), or None if unlabeled;
-    ValueError when two labels of any one copy hit the position."""
-    return _label_rows(t, word, [pos])[copy][0] or None
 
 
 def _label_rows(t, word, positions):

@@ -84,20 +84,19 @@ class SummarySpace:
     """What the elements of one monoid share.
 
     The state order (a summary names states by index and visited sets by
-    bitmask), the accepting sets, and in a flow monoid the variable order and
-    whether counts saturate at 2.  canon maps a visited bitmask to its
-    canonical form and times a pair of count blocks to their product; both
-    are memo tables.
+    bitmask), the accepting sets, and in a flow monoid the variable order.
+    canon maps a visited bitmask to its canonical form and times a pair of
+    count blocks to their product, with counts saturated at 2 ("two means
+    at least two"); both are memo tables.
     """
 
-    def __init__(self, states, muller_sets, variables=None, saturate=True):
+    def __init__(self, states, muller_sets, variables=None):
         self.states = tuple(states)
         self.index = {q: i for i, q in enumerate(self.states)}
         self.muller_sets = tuple(muller_sets)
         self.variables = None if variables is None else tuple(variables)
         self.var_index = {x: i for i, x in enumerate(self.variables or ())}
         self.nx = len(self.var_index)
-        self.saturate = saturate
         self.signature = (self.states, self.muller_sets, self.variables)
         self._set_masks = [self._mask(m) for m in self.muller_sets]
         self._coordinates = {}
@@ -124,7 +123,7 @@ class SummarySpace:
                     for y in range(nx):
                         acc[y] += k * c2[z * nx + y]
             out.extend(acc)
-        return tuple(min(c, 2) for c in out) if self.saturate else tuple(out)
+        return tuple(min(c, 2) for c in out)
 
     def coordinates(self, v):
         """Coordinate tuple of a canonical visited set, one per accepting set."""

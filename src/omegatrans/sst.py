@@ -22,11 +22,10 @@ monoid finite while still deciding whether it is aperiodic.  Whether the
 machine is 1-bounded (no count ever reaches 2) is decided without the
 monoid: is_1_bounded searches the sets of pairs of copy paths a word
 reaches, at most one per monoid element and in practice far fewer, and
-returns the same shortlex-least witness.  `flows` keeps a count exact, as
-one unsaturated flow matrix of the factor.  The output-structure queries
-of module outputgraph (`useful`, `path_conditions`) need no counts: a
-count is at least 1 exactly when its target is in a reach set, and
-FlowCache answers them from reach sets and column tables of the run.
+returns the same shortlex-least witness.  The output-structure queries
+of module outputgraph (FlowCache.useful, path_conditions) need no counts:
+an exact count is at least 1 exactly when its target is in a reach set,
+and FlowCache answers them from reach sets and column tables of the run.
 path_conditions has two cases: for j <= i it reads the reach set of
 (y, j) at column i against the successors of x in the meeting table C_i,
 and for i < j the reach set of (x, i) at column j against the
@@ -39,7 +38,6 @@ it.
 """
 
 from .muller import (
-    BOT,
     SummarySpace,
     _Memo,
     aperiodicity_witness,
@@ -120,18 +118,6 @@ def compose_subst(s1, s2):
                 items.extend(s1[v])
         out[x] = tuple(items)
     return out
-
-
-def is_copyless(subst):
-    """True iff no variable occurs more than once across all right-hand sides."""
-    seen = set()
-    for rhs in subst.values():
-        for kind, v in rhs:
-            if kind == "var":
-                if v in seen:
-                    return False
-                seen.add(v)
-    return True
 
 
 class NotInDomain(Exception):
@@ -232,9 +218,9 @@ class Sst:
     streaming_fields as on the guarded constructions.SstSf.  F maps each
     accepting state set to the sequence of variables whose limit is the
     output.  Machines need
-    not be copyless (is_copyless and is_1_bounded are separate checks), but
-    the output rules must freeze x_1 .. x_{n-1} and extend x_n on every
-    transition that stays inside their state set.
+    not be copyless (is_1_bounded is a separate check), but the output
+    rules must freeze x_1 .. x_{n-1} and extend x_n on every transition
+    that stays inside their state set.
     """
 
     def __init__(self, states, alphabet, initial, delta, variables, update, F):
@@ -395,31 +381,30 @@ def values_after(t, word, i):
     return vals
 
 
-def _flow_space(t, saturate):
-    return SummarySpace(t.states, t.muller_sets, t.variables, saturate)
+def _flow_space(t):
+    return SummarySpace(t.states, t.muller_sets, t.variables)
 
 
-def _count_block(t, subst, saturate):
-    """Row-major |X| x |X| block: occurrences of x in subst's rhs for y."""
+def _count_block(t, subst):
+    """Row-major |X| x |X| block: occurrences of x in subst's rhs for y, at most 2."""
     block = []
     for x in t.variables:
         occurrence = ("var", x)
         for y in t.variables:
-            c = subst[y].count(occurrence)
-            block.append(min(c, 2) if saturate else c)
+            block.append(min(subst[y].count(occurrence), 2))
     return tuple(block)
 
 
-def flow_matrix(t, factor, saturate=True):
+def flow_matrix(t, factor):
     """Flow matrix of a finite factor (product of letter matrices)."""
-    letters = {a: flow_matrix_direct(t, a, saturate) for a in set(factor)}
-    m = _flow_space(t, saturate).identity()
+    letters = {a: flow_matrix_direct(t, a) for a in set(factor)}
+    m = _flow_space(t).identity()
     for a in factor:
         m = m * letters[a]
     return m
 
 
-def flow_matrix_direct(t, factor, saturate=True):
+def flow_matrix_direct(t, factor):
     """Same matrix from composed substitutions and concrete runs; the oracle."""
     runs = []
     for p in t.states:
@@ -429,13 +414,13 @@ def flow_matrix_direct(t, factor, saturate=True):
         for a in factor:
             comb = compose_subst(comb, t.update[(state, a)])
             state = t.delta[(state, a)]
-        runs.append((q, seen if factor else (), _count_block(t, comb, saturate)))
-    return _flow_space(t, saturate).element(runs)
+        runs.append((q, seen if factor else (), _count_block(t, comb)))
+    return _flow_space(t).element(runs)
 
 
 def _flow_generators(t):
     """Letter flow matrices and identity of the flow monoid."""
-    return {a: flow_matrix_direct(t, a) for a in t.alphabet}, _flow_space(t, True).identity()
+    return {a: flow_matrix_direct(t, a) for a in t.alphabet}, _flow_space(t).identity()
 
 
 def sst_monoid(t, cap=10 ** 6):
@@ -532,10 +517,10 @@ class FlowCache:
     phase) pair on, and later columns are read through words.fold.  The
     fold is exact, and a row holds at most entry + cycle_cols · 2^|X| sets
     whatever the column asked for.  The useful table repeats with the cycle
-    from max(entry, settle + 1) on, and so does C from the entry on when
-    there is no horizon; with one, C is a list up to the horizon, built
-    once.  So a query's time and memory do not depend on how far apart or
-    how far out its columns are.
+    from max(entry, settle + 1) on, and so does C from the entry on; under
+    a horizon, only C's columns just below it are a list (_order_table).
+    So a query's time and memory depend neither on how far apart or how
+    far out its columns are, nor on the horizon.
     """
 
     def __init__(self, t, word):
@@ -599,33 +584,29 @@ def _step_vars(t, subst, sources):
     )
 
 
-def _backward_fixpoint(ana, base, pre, start, stop):
+def _backward_fixpoint(ana, base, pre, start):
     """The least column sets T_k = base(k) ∪ pre(k + 1, T_{k+1}), as a lookup.
 
     pre(c, S) is the part of column c - 1 that the step into column c sends
-    into S, and both it and base are monotone.  The table is a lasso, the
-    columns below start and then a cycle of phases, read through
-    words.fold.  With a stop column, start is the stop and the cycle is the
-    one value ∅.  Without one, base(k) and pre(k + 1, ·) must depend on
-    k >= start only through the phase (k - start) mod cycle_cols.  The
-    phases are then iterated from ∅ until a whole pass changes nothing:
-    every value stays below the least solution (monotone steps from ∅), and
-    a pass without change is a solution, so the result is the least one.
-    The sets are finite, so this stops.  Either way, the columns below start
-    are then filled back to front from phase 0.
+    into S, and both it and base are monotone.  base(k) and pre(k + 1, ·)
+    must depend on k >= start only through the phase (k - start) mod
+    cycle_cols.  The table is a lasso, the columns below start and then a
+    cycle of phases, read through words.fold.  The phases are iterated
+    from ∅ until a whole pass changes nothing: every value stays below the
+    least solution (monotone steps from ∅), and a pass without change is a
+    solution, so the result is the least one.  The sets are finite, so this
+    stops.  The columns below start are then filled back to front from
+    phase 0.
     """
-    if stop is None:
-        period = ana.cycle_cols
-        cycle = [frozenset()] * period
-        changed = True
-        while changed:
-            changed = False
-            for p in reversed(range(period)):
-                new = base(start + p) | pre(start + p + 1, cycle[(p + 1) % period])
-                if new != cycle[p]:
-                    cycle[p], changed = new, True
-    else:
-        start, period, cycle = max(stop, 0), 1, [frozenset()]
+    period = ana.cycle_cols
+    cycle = [frozenset()] * period
+    changed = True
+    while changed:
+        changed = False
+        for p in reversed(range(period)):
+            new = base(start + p) | pre(start + p + 1, cycle[(p + 1) % period])
+            if new != cycle[p]:
+                cycle[p], changed = new, True
     values = [None] * start + cycle
     later = cycle[0]
     for k in reversed(range(start)):
@@ -660,11 +641,19 @@ def _useful_table(ana):
         subst = ana.update_at(col)
         return frozenset().union(*(_reads(subst[v]) for v in later))
 
-    return _backward_fixpoint(ana, base, pre, max(ana.entry_col, settle + 1), None)
+    return _backward_fixpoint(ana, base, pre, max(ana.entry_col, settle + 1))
 
 
 def _order_table(ana, horizon):
-    """C_k of path_conditions, over the steps up to the horizon (None: all)."""
+    """C_k of path_conditions, over the steps up to the horizon (None: all).
+
+    Under a horizon, C_k is ∅ from the horizon on, and the columns below it
+    are filled back to front until the first that equals the unbounded
+    table; from there down both follow one recurrence, so they agree.  The
+    run repeats its cycle, so every pair of the unbounded table meets within
+    a bounded number of steps, and that column lies a bounded distance
+    under the horizon.
+    """
 
     def base(k):
         pairs = set()
@@ -678,31 +667,24 @@ def _order_table(ana, horizon):
         reads = {v: _reads(rhs) for v, rhs in subst.items()}
         return frozenset((u, v) for a, b in later for u in reads[a] for v in reads[b])
 
-    return _backward_fixpoint(ana, base, pre, ana.entry_col, horizon)
+    full = _backward_fixpoint(ana, base, pre, ana.entry_col)
+    if horizon is None:
+        return full
+    top = max(horizon, 0)
+    near = {}  # the columns below the horizon where C differs from full
+    later = frozenset()
+    for k in reversed(range(top)):
+        later = base(k) | pre(k + 1, later)
+        if later == full(k):
+            break
+        near[k] = later
 
+    def at(k):
+        if k in near:
+            return near[k]
+        return frozenset() if k >= top else full(k)
 
-def flows(t, word, i, j, x, y):
-    """Exact copy count of x's content after i letters inside y after j >= i letters."""
-    if i > j:
-        raise ValueError("flows need i <= j, got %d > %d" % (i, j))
-    ana = analyze_run(t, word)
-    factor = [word.letter_at(col) for col in range(i + 1, j + 1)]
-    e = flow_matrix(t, factor, saturate=False).entry(
-        (ana.state_at(i), x), (ana.state_at(j), y)
-    )
-    return 0 if e is BOT else e[0]
-
-
-def useful(t, word, x, i, analysis=None):
-    """True iff x's content after i letters appears in the final output.
-
-    The content must either flow into one of the output variables by the
-    settling column, or into the growing last output variable at some column
-    past settling.  Read off the column table of _useful_table.  Raises
-    NotInDomain on rejected words.
-    """
-    ana = analysis if analysis is not None else analyze_run(t, word)
-    return x in _useful_table(ana)(i)
+    return at
 
 
 def path_conditions(t, word, x, i, d, y, j, d2, horizon=None, cache=None):
@@ -740,7 +722,8 @@ def path_conditions(t, word, x, i, d, y, j, d2, horizon=None, cache=None):
     with cat(c) the ordered pairs of one right-hand side at step c, and
     C_k = ∅ from the horizon on.  Splitting the query into pairs is exact,
     since step sets distribute over unions.  With a horizon the columns
-    below it are filled back to front.  Without one, the true C (pairs that
+    below it are filled back to front until they agree with the table
+    without one (_order_table).  Without one, the true C (pairs that
     meet at some finite step) is the least solution: by induction on the
     distance to the meeting step, it lies inside every solution, and it is
     one.  The run repeats from the entry column with the cycle, so C does,
@@ -748,9 +731,9 @@ def path_conditions(t, word, x, i, d, y, j, d2, horizon=None, cache=None):
     which _backward_fixpoint computes.  A forward scan from (x, i) and
     (y, j) could stop for the same reason: its states (phase, reach of x,
     reach of y) are finite, and "some later step" is their least fixpoint.
-    The reach rows, the useful sets and, without a horizon, C all fold onto
-    the run's cycle (FlowCache), so a query costs the same however far
-    apart, or however far out, its columns are.
+    The reach rows, the useful sets and C all fold onto the run's cycle
+    (FlowCache), so a query costs the same however far apart, or however
+    far out, its columns are, and under any horizon.
     """
     if d not in ("in", "out") or d2 not in ("in", "out"):
         raise ValueError("sides must be 'in' or 'out', got %r and %r" % (d, d2))

@@ -265,22 +265,6 @@ def run_2wst(t, word, k):
     return spell("".join(outs[:loop]), "".join(outs[loop:]), k)
 
 
-def reaches(t, word, q, x, q2, y):
-    """Does the run from state q at position x reach state q2 at position y?
-
-    True when (q2, y) is in the trace of _travel from (q, x), or, when the
-    run travels, is a configuration of its loop shifted right by a multiple
-    of the loop's displacement.
-    """
-    trace, _, loop, _ = _travel(_WordContext(t, word), q, x)
-    if (q2, y) in trace:
-        return True
-    if loop is None:
-        return False
-    delta = trace[-1][1] - trace[loop][1]
-    return any(s == q2 and y > p and (y - p) % delta == 0 for s, p in trace[loop:])
-
-
 def _cross(transition, q, pos, exits):
     """Walk the head from state q at position pos until it reaches one of
     the exit positions, moving by transition(state, position).

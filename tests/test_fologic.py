@@ -10,6 +10,15 @@ from omegatrans.words import UPWord
 from omegatrans import fologic as fo
 from omegatrans.fixtures import random_upword
 
+# The order axioms that pick out string-like models: the order is total, and
+# every position has exactly one successor.
+IS_STRING = (
+    "(A x. A y. (x <= y | y <= x))"
+    " & (A x. ((A y. A u. ((x < y & !(E z. (x < z & z < y))"
+    " & x < u & !(E z. (x < z & z < u))) -> y = u))"
+    " & (E y. (x < y & !(E z. (x < z & z < y))))))"
+)
+
 
 # Reference evaluator: plain recursion on one assignment, with every
 # quantifier ranging over four times the proved bound.  Used only as an
@@ -90,7 +99,7 @@ def test_quantifier_depth():
     assert fo.quantifier_depth(fo.parse_formula("x = y")) == 0
     assert fo.quantifier_depth(fo.parse_formula("E x. A y. x <= y")) == 2
     # pinned: the well-formed string axioms have depth 4
-    assert fo.quantifier_depth(fo.is_string()) == 4
+    assert fo.quantifier_depth(fo.parse_formula(IS_STRING)) == 4
 
 
 def test_free_variables():
@@ -169,16 +178,16 @@ def test_label_and_order_atoms():
 
 def test_shorthands_on_separator_word():
     w = UPWord("ab#", "a")  # single # at position 3
-    reach = fo.reaches_letter("x", "#")
+    reach = fo.parse_formula("E y. (x < y & L#(y))")
     assert fo.evaluate(reach, w, {"x": 1})
     assert fo.evaluate(reach, w, {"x": 2})
     assert not fo.evaluate(reach, w, {"x": 3})
     assert not fo.evaluate(reach, w, {"x": 7})
-    btw = fo.between_letter("x", "y", "#")
+    btw = fo.parse_formula("E z. (L#(z) & ((y < z & z < x) | (x < z & z < y)))")
     assert fo.evaluate(btw, w, {"x": 5, "y": 1})  # orientation-free
     assert fo.evaluate(btw, w, {"x": 1, "y": 5})
     assert not fo.evaluate(btw, w, {"x": 4, "y": 9})
-    first = fo.is_first("x")
+    first = fo.parse_formula("!(E y. y < x)")
     assert fo.evaluate(first, w, {"x": 1})
     assert not fo.evaluate(first, w, {"x": 2})
 
@@ -218,8 +227,9 @@ def test_witness_margin():
 
 
 def test_is_string_holds_on_infinite_words():
-    assert fo.evaluate(fo.is_string(), UPWord("", "a"))
-    assert fo.evaluate(fo.is_string(), UPWord("a#", "b"))
+    is_string = fo.parse_formula(IS_STRING)
+    assert fo.evaluate(is_string, UPWord("", "a"))
+    assert fo.evaluate(is_string, UPWord("a#", "b"))
 
 
 variables = st.sampled_from(["x", "y", "z"])

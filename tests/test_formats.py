@@ -202,6 +202,13 @@ def test_a_repeated_fot_key_is_refused_with_its_line(line, key):
         parse_machine_text(text)
 
 
+@pytest.mark.parametrize("line", ["ord: 1,7: x < y", "ord: 9,1: x < y"])
+def test_an_order_line_for_a_copy_the_machine_lacks_is_refused(line):
+    text = (MACHINES / "f1.fot").read_text() + line + "\n"
+    with pytest.raises(FormatError, match="order formula for unknown copies"):
+        parse_machine_text(text)
+
+
 def test_a_bad_fot_domain_is_refused_at_its_own_line():
     text = "kind: fot\nalphabet: a\ncopies: 1\ndom: E x. (\npos: 1,a: La(x)\nord: 1,1: x < y\n"
     with pytest.raises(FormatError, match="line 4: bad formula"):

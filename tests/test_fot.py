@@ -3,7 +3,7 @@ import pytest
 
 from omegatrans.fixtures import mirror_corpus, mirror_fot, mirror_sst, mirror_twowst
 from omegatrans.fologic import evaluate, parse_formula
-from omegatrans.fot import Fot, bulk_evaluate, fot_domain, node_label, run_fot
+from omegatrans.fot import Fot, _label_rows, bulk_evaluate, fot_domain, run_fot
 from omegatrans.sst import PAD, run_output
 from omegatrans.twowst import run_2wst
 from omegatrans.words import UPWord
@@ -11,6 +11,12 @@ from omegatrans.words import UPWord
 
 def tiny_fot(labels, order, copies=(1,)):
     return Fot("ab", copies, parse_formula("E x. x = x"), labels, order)
+
+
+def node_label(t, word, copy, pos):
+    """The output letter of the node at (copy, pos), or None if unlabeled;
+    ValueError when two labels of any one copy hit the position."""
+    return _label_rows(t, word, [pos])[copy][0] or None
 
 
 def test_constructor_validates_shape():
@@ -22,6 +28,13 @@ def test_constructor_validates_shape():
         tiny_fot({(1, "a"): parse_formula("x < y")}, {(1, 1): parse_formula("x < y")})
     with pytest.raises(ValueError, match="stray free variables"):
         tiny_fot({}, {(1, 1): parse_formula("x < z")})
+
+
+@pytest.mark.parametrize("key", [(1, 7), (9, 1)])
+def test_order_formulas_for_unknown_copies_are_refused(key):
+    order = {(1, 1): parse_formula("x < y"), key: parse_formula("x < y")}
+    with pytest.raises(ValueError, match=r"order formula for unknown copies \(%d, %d\)" % key):
+        tiny_fot({}, order)
 
 
 def test_domain_is_eventually_separator_free():
